@@ -15,8 +15,8 @@
 //! steady-state throughput of millions of streamed tasks), so repeating
 //! it under a sampling harness would only add minutes without adding
 //! information. Scaling rows are honest wall-clock on whatever host runs
-//! this — `host_cpus` in the artifact is the context for reading them
-//! (oversubscribed counts cannot speed up a CPU-bound pipeline).
+//! this — rows whose workers plus the producer outnumber `host_cpus` are
+//! marked `oversubscribed` (they cannot speed up a CPU-bound pipeline).
 
 use prfpga::pipeline::{run_pipeline_sweep, PipelineConfig};
 
@@ -55,8 +55,16 @@ fn main() {
     );
     for row in &report.worker_sweep {
         println!(
-            "  workers {:>2}: {:>9.1} ms, {:>9.0} tasks/s, {:>5.2}x vs 1",
-            row.workers, row.elapsed_ms, row.tasks_per_sec, row.speedup_vs_one,
+            "  workers {:>2}: {:>9.1} ms, {:>9.0} tasks/s, {:>5.2}x vs 1{}",
+            row.workers,
+            row.elapsed_ms,
+            row.tasks_per_sec,
+            row.speedup_vs_one,
+            if row.oversubscribed {
+                " (oversubscribed)"
+            } else {
+                ""
+            },
         );
     }
     for s in &report.stages {

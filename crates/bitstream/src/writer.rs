@@ -6,11 +6,14 @@
 //! string hashes are derived once per `(organization, device, module)`
 //! triple through an [`EmitScratch`] template memo, the frame payload is
 //! a counter-based (loop-carry-free, vectorizable) splitmix64 fill, and
-//! the in-stream CRC runs through the folded kernel. Batch entry points
-//! additionally keep a small rendered-stream cache per worker, so a
-//! batch that emits the same placed module repeatedly — the steady state
-//! of a hardware-multitasking system — degenerates to one `memcpy` per
-//! repeat. The PR 2 push-based emitter is frozen in [`reference`] and
+//! the in-stream CRC runs through the folded kernel. A bitstream is a
+//! fixed function of (module, organization, placement) — Eq. 18 sizes it
+//! from those alone — so [`EmitScratch`] also keeps a small per-worker
+//! cache of rendered streams as shared `Arc<[u32]>` values: a caller
+//! that emits the same placed module repeatedly — the steady state of a
+//! hardware-multitasking system — gets the cached stream back through
+//! [`emit_shared`] for the price of one reference-count increment. The
+//! original push-based emitter is frozen in [`reference`] and
 //! property-tested byte-identical.
 
 use crate::crc::Crc32;
@@ -374,12 +377,12 @@ fn emit_frame_block(
     end
 }
 
-/// The arena emission core: one exact-size `resize`, slice-copied
-/// headers, counter-based payload fill, folded CRC. `spec` must already
-/// be validated against `tpl`'s organization.
-fn emit_template(tpl: &EmitTemplate, spec: &BitstreamSpec, out: &mut Vec<u32>) {
-    out.clear();
-    out.resize(tpl.total_words, 0);
+/// The arena emission core: slice-copied headers, counter-based payload
+/// fill, folded CRC, written over all of `out`, which must hold exactly
+/// `tpl.total_words` words. `spec` must already be validated against
+/// `tpl`'s organization.
+fn emit_template(tpl: &EmitTemplate, spec: &BitstreamSpec, out: &mut [u32]) {
+    debug_assert_eq!(out.len(), tpl.total_words);
     out[..INITIAL_WORDS].copy_from_slice(&tpl.initial);
 
     let mut crc = Crc32::new();
@@ -428,19 +431,21 @@ fn emit_template(tpl: &EmitTemplate, spec: &BitstreamSpec, out: &mut Vec<u32>) {
 /// Templates cached per worker (each is a few hundred bytes).
 const TEMPLATE_CAP: usize = 32;
 /// Rendered streams cached per worker. Bounds worker memory at
-/// `STREAM_CAP` bitstreams while letting batches over a small set of
-/// distinct placed modules hit `memcpy` steady state.
+/// `STREAM_CAP` bitstreams (plus any the caller still holds) while
+/// letting batches over a small set of distinct placed modules reach
+/// the shared-stream steady state.
 const STREAM_CAP: usize = 8;
 
 /// Per-worker emission arena: the `(organization, device, module)`
 /// template memo plus a small rendered-stream cache keyed by full spec
-/// identity. Both caches are MRU-ordered with bounded capacity, so a
-/// long-lived scratch's memory stays constant regardless of how many
+/// identity. Both caches are MRU-ordered (a hit moves to the front, a
+/// miss evicts the least recently used entry) with bounded capacity, so
+/// a long-lived scratch's memory stays constant regardless of how many
 /// specs flow through it.
 #[derive(Debug, Clone, Default)]
 pub struct EmitScratch {
     templates: Vec<(TemplateKey, EmitTemplate)>,
-    streams: Vec<(Arc<BitstreamSpec>, Vec<u32>)>,
+    streams: Vec<(Arc<BitstreamSpec>, Arc<[u32]>)>,
 }
 
 #[derive(Debug, Clone)]
@@ -472,31 +477,27 @@ impl EmitScratch {
         EmitScratch::default()
     }
 
-    /// Index of the template for `spec`, building it on a miss.
-    /// Always 0 after the MRU move-to-front.
-    fn template_index(&mut self, spec: &BitstreamSpec) -> usize {
+    /// The template for `spec`, building it on a miss; either way it
+    /// ends up at the front of the MRU order.
+    fn template(&mut self, spec: &BitstreamSpec) -> &EmitTemplate {
         if let Some(i) = self.templates.iter().position(|(k, _)| k.matches(spec)) {
-            self.templates.swap(0, i);
+            self.templates[..=i].rotate_right(1);
         } else {
             let tpl = build_template(spec);
             self.templates.insert(0, (TemplateKey::of(spec), tpl));
             self.templates.truncate(TEMPLATE_CAP);
         }
-        0
+        &self.templates[0].1
     }
 
-    fn stream_hit(&mut self, spec: &Arc<BitstreamSpec>) -> Option<&[u32]> {
+    /// The cached stream for `spec`, moved to the front of the MRU order.
+    fn stream_hit(&mut self, spec: &Arc<BitstreamSpec>) -> Option<Arc<[u32]>> {
         let i = self
             .streams
             .iter()
             .position(|(s, _)| Arc::ptr_eq(s, spec) || **s == **spec)?;
-        self.streams.swap(0, i);
-        Some(&self.streams[0].1)
-    }
-
-    fn remember_stream(&mut self, spec: &Arc<BitstreamSpec>, words: &[u32]) {
-        self.streams.insert(0, (Arc::clone(spec), words.to_vec()));
-        self.streams.truncate(STREAM_CAP);
+        self.streams[..=i].rotate_right(1);
+        Some(Arc::clone(&self.streams[0].1))
     }
 }
 
@@ -540,36 +541,53 @@ pub fn generate_owned(spec: BitstreamSpec) -> Result<PartialBitstream, GenError>
     generate_arc(&Arc::new(spec))
 }
 
-/// [`generate_arc`] through a warm [`EmitScratch`]: template memo hit on
-/// repeated `(organization, device, module)` triples, rendered-stream
-/// cache hit (one exact-size allocation + `memcpy`) on repeated specs.
+/// `spec`'s word stream as a shared, immutable value, through a warm
+/// [`EmitScratch`].
+///
+/// On a rendered-stream cache hit (same spec by pointer or by value)
+/// this returns a clone of the cached `Arc` — no allocation, no copy.
+/// On a miss it renders once through the template memo, straight into
+/// one exact-size `Arc<[u32]>` allocation, caches it and returns it.
+/// The words are exactly those [`generate`] produces. The streaming
+/// pipeline's hot path: each worker owns one scratch, so a warm cache
+/// serves every task of a small module pool by reference.
+pub fn emit_shared(
+    scratch: &mut EmitScratch,
+    spec: &Arc<BitstreamSpec>,
+) -> Result<Arc<[u32]>, GenError> {
+    // Only validated specs enter the cache, so a hit needs no check.
+    if let Some(hit) = scratch.stream_hit(spec) {
+        return Ok(hit);
+    }
+    validate_columns(spec)?;
+    let tpl = scratch.template(spec);
+    let mut words: Arc<[u32]> = std::iter::repeat_n(0, tpl.total_words).collect();
+    emit_template(
+        tpl,
+        spec,
+        Arc::get_mut(&mut words).expect("a fresh Arc is unique"),
+    );
+    scratch
+        .streams
+        .insert(0, (Arc::clone(spec), Arc::clone(&words)));
+    scratch.streams.truncate(STREAM_CAP);
+    Ok(words)
+}
+
+/// [`generate_arc`] through a warm [`EmitScratch`]: [`emit_shared`]
+/// copied into the bitstream's own `Vec` (one exact-size allocation).
 pub fn generate_with(
     scratch: &mut EmitScratch,
     spec: &Arc<BitstreamSpec>,
 ) -> Result<PartialBitstream, GenError> {
-    validate_columns(spec)?;
-    let words = if let Some(hit) = scratch.stream_hit(spec) {
-        hit.to_vec()
-    } else {
-        let i = scratch.template_index(spec);
-        let mut words = Vec::new();
-        emit_template(&scratch.templates[i].1, spec, &mut words);
-        scratch.remember_stream(spec, &words);
-        words
-    };
     Ok(PartialBitstream {
         spec: Arc::clone(spec),
-        words,
+        words: emit_shared(scratch, spec)?.to_vec(),
     })
 }
 
-/// [`generate_with`]'s cache semantics with a caller-owned output
-/// buffer: rendered-stream cache hits are served by one `memcpy` into
-/// `out` and misses render through the template memo, but — unlike
-/// [`generate_with`] — no `Vec` is allocated per call. The streaming
-/// pipeline's hot path: each worker keeps one long-lived buffer, so a
-/// warm cache emits at pure-`memcpy` speed with zero allocations per
-/// task.
+/// [`emit_shared`] copied into a caller-owned buffer, for callers that
+/// need the words in a `Vec` they own without allocating one per call.
 ///
 /// `out` is cleared first; on success it holds the exact word stream
 /// [`generate`] would produce (on error it is left cleared).
@@ -579,14 +597,7 @@ pub fn emit_arc_into(
     out: &mut Vec<u32>,
 ) -> Result<(), GenError> {
     out.clear();
-    validate_columns(spec)?;
-    if let Some(hit) = scratch.stream_hit(spec) {
-        out.extend_from_slice(hit);
-        return Ok(());
-    }
-    let i = scratch.template_index(spec);
-    emit_template(&scratch.templates[i].1, spec, out);
-    scratch.remember_stream(spec, out);
+    out.extend_from_slice(&emit_shared(scratch, spec)?);
     Ok(())
 }
 
@@ -603,6 +614,7 @@ pub fn emit_into(spec: &BitstreamSpec, out: &mut Vec<u32>) -> Result<(), GenErro
     out.clear();
     validate_columns(spec)?;
     let tpl = build_template(spec);
+    out.resize(tpl.total_words, 0);
     emit_template(&tpl, spec, out);
     Ok(())
 }
@@ -617,8 +629,9 @@ pub fn emit_into_with(
 ) -> Result<(), GenError> {
     out.clear();
     validate_columns(spec)?;
-    let i = scratch.template_index(spec);
-    emit_template(&scratch.templates[i].1, spec, out);
+    let tpl = scratch.template(spec);
+    out.resize(tpl.total_words, 0);
+    emit_template(tpl, spec, out);
     Ok(())
 }
 
@@ -627,8 +640,8 @@ pub fn emit_into_with(
 /// Each worker owns an [`EmitScratch`] arena, so header templates and
 /// string hashes are derived once per distinct `(organization, device,
 /// module)` triple and repeated specs — the common multitasking batch
-/// shape — are served from the rendered-stream cache with one exact-size
-/// allocation and a `memcpy` each. Output order matches input; specs are
+/// shape — are served from the rendered-stream cache, copied into each
+/// result's own `Vec`. Output order matches input; specs are
 /// shared into the results, never deep-cloned.
 pub fn generate_batch(specs: &[Arc<BitstreamSpec>]) -> Vec<Result<PartialBitstream, GenError>> {
     use rayon::prelude::*;
@@ -975,7 +988,94 @@ mod tests {
         }
     }
 
+    /// `base` with its window moved `shift` columns right: same
+    /// template, distinct rendered stream.
+    fn shifted(base: &BitstreamSpec, shift: u32) -> Arc<BitstreamSpec> {
+        let mut spec = base.clone();
+        spec.start_col += shift;
+        Arc::new(spec)
+    }
+
+    /// A hit moves its stream to the front of the MRU order, so the next
+    /// miss evicts the least recently used stream — not the one the hit
+    /// displaced from the front.
+    #[test]
+    fn stream_cache_evicts_least_recently_used() {
+        let base = spec_for(PaperPrm::Sdram, &xc5vlx110t());
+        let specs: Vec<Arc<BitstreamSpec>> =
+            (0..=STREAM_CAP as u32).map(|i| shifted(&base, i)).collect();
+        let mut scratch = EmitScratch::new();
+        // Fill the cache; specs[0] is now the oldest entry.
+        let first: Vec<Arc<[u32]>> = specs[..STREAM_CAP]
+            .iter()
+            .map(|s| emit_shared(&mut scratch, s).unwrap())
+            .collect();
+        let newest = STREAM_CAP - 1;
+        // Hit the oldest, then miss on a new spec.
+        assert!(Arc::ptr_eq(
+            &emit_shared(&mut scratch, &specs[0]).unwrap(),
+            &first[0]
+        ));
+        emit_shared(&mut scratch, &specs[STREAM_CAP]).unwrap();
+        // The promoted entry and the previous head both survive ...
+        for i in [0, newest] {
+            let again = emit_shared(&mut scratch, &specs[i]).unwrap();
+            assert!(Arc::ptr_eq(&again, &first[i]), "spec {i} was evicted");
+        }
+        // ... and the least recently used one (specs[1]) was evicted.
+        let rerendered = emit_shared(&mut scratch, &specs[1]).unwrap();
+        assert!(!Arc::ptr_eq(&rerendered, &first[1]));
+        assert_eq!(rerendered, first[1]);
+    }
+
     proptest! {
+        /// `emit_shared` ≡ the frozen reference emitter through misses, hits
+        /// and evictions: specs drawn at random from a pool larger than
+        /// the stream cache, with module names and placements that vary
+        /// both the template and the stream key. A repeat right after an
+        /// emission is a hit and shares the cached stream.
+        #[test]
+        fn emit_shared_matches_reference_through_evictions(
+            family_ix in 0usize..Family::ALL.len(),
+            height in 1u32..3,
+            clb in 1u32..3,
+            bram in 0u32..2,
+            draws in proptest::collection::vec(0usize..STREAM_CAP + 4, 1..64),
+        ) {
+            let organization = PrrOrganization {
+                family: Family::ALL[family_ix],
+                height,
+                clb_cols: clb,
+                dsp_cols: 0,
+                bram_cols: bram,
+            };
+            let mut columns = vec![ResourceKind::Clb; clb as usize];
+            columns.extend(std::iter::repeat_n(ResourceKind::Bram, bram as usize));
+            let pool: Vec<Arc<BitstreamSpec>> = (0..STREAM_CAP + 4)
+                .map(|i| {
+                    Arc::new(BitstreamSpec {
+                        device: "xc_pool".to_string(),
+                        module: format!("prm_{}", i % 3),
+                        organization,
+                        start_col: i as u32,
+                        start_row: 1,
+                        columns: columns.clone(),
+                    })
+                })
+                .collect();
+            let expected: Vec<Vec<u32>> = pool
+                .iter()
+                .map(|s| reference::generate(s).unwrap().words)
+                .collect();
+            let mut scratch = EmitScratch::new();
+            for ix in draws {
+                let words = emit_shared(&mut scratch, &pool[ix]).unwrap();
+                prop_assert_eq!(&words[..], &expected[ix][..]);
+                let again = emit_shared(&mut scratch, &pool[ix]).unwrap();
+                prop_assert!(Arc::ptr_eq(&words, &again));
+            }
+        }
+
         /// Arena emission ≡ frozen PR 2 emission, byte for byte, over
         /// random organizations, placements, and name strings (the
         /// emitter does not require device-level feasibility, only

@@ -51,7 +51,7 @@
 use crate::defrag::RelocationMove;
 use crate::free::FreeSpace;
 use crate::manager::{Allocation, LayoutManager, MoveCost};
-use fabric::{ColumnKind, Window};
+use fabric::{splitmix64, ColumnKind, Window};
 use prcost::{Metrics, PrrOrganization};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -108,14 +108,6 @@ pub struct Defrag2Plan {
     pub total_context_bytes: u64,
     /// Search nodes expanded (diagnostic).
     pub nodes: u64,
-}
-
-/// splitmix64 finalizer — the repo's standard deterministic mixer.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Zobrist-style key of one (allocation, position) pair: derived (not

@@ -755,8 +755,16 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
         );
         for row in &report.worker_sweep {
             println!(
-                "{:<8} {:>10.1} {:>12.0} {:>11.2}x",
-                row.workers, row.elapsed_ms, row.tasks_per_sec, row.speedup_vs_one,
+                "{:<8} {:>10.1} {:>12.0} {:>11.2}x{}",
+                row.workers,
+                row.elapsed_ms,
+                row.tasks_per_sec,
+                row.speedup_vs_one,
+                if row.oversubscribed {
+                    "  (oversubscribed)"
+                } else {
+                    ""
+                },
             );
         }
     }

@@ -3,9 +3,10 @@
 //!
 //! Drives the full stack — synthesis (warm [`prcost::Engine`] memo) →
 //! PRR planning (Fig. 1 search, memo-hit steady state) → placement
-//! ([`bitstream::BitstreamSpec`] from the planned window) → arena
-//! bitstream emission ([`bitstream::generate_with`]) → hardware
-//! multitasking simulation ([`multitask::simulate_with_scratch`]) — at
+//! ([`bitstream::BitstreamSpec`] from the planned window) → bitstream
+//! emission ([`bitstream::emit_shared`], a shared cached stream per task
+//! once warm) → hardware multitasking simulation
+//! ([`multitask::simulate_with_scratch`]) — at
 //! millions of tasks under **bounded memory**: one producer thread
 //! generates fixed-size task chunks into a bounded channel, worker
 //! threads own all per-chunk scratch (plan scratch, emission arena,
@@ -19,7 +20,7 @@
 use bitstream::{BitstreamSpec, EmitScratch, IcapModel};
 use multitask::{simulate_with_scratch, HwTask, PrSystem, ReuseAware, SimScratch, Workload};
 use prcost::metrics::StageSnapshot;
-use prcost::{Engine, PlanScratch};
+use prcost::{Engine, PlanScratch, Rng};
 use serde::Serialize;
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
@@ -143,6 +144,10 @@ pub struct WorkerScalingRow {
     /// Throughput relative to the 1-worker row (or the first row if the
     /// sweep does not include 1).
     pub speedup_vs_one: f64,
+    /// The workers plus the producer thread outnumber the host's CPUs
+    /// (`workers + 1 > host_cpus`), so this row measures contention,
+    /// not scaling.
+    pub oversubscribed: bool,
 }
 
 /// Per-worker accumulator; merged after the scope joins.
@@ -169,19 +174,30 @@ impl Totals {
     }
 }
 
-/// splitmix64 step for the producer's arrival/choice stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// Exponential variate with the given mean (inverse transform of
+/// `1 − u`, `u` in `[0, 1)`; [`Rng::exp`] transforms `u` itself, so the
+/// two draw different streams).
+fn exp_ns(rng: &mut Rng, mean: u64) -> u64 {
+    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+    ((-(1.0 - u).ln()) * mean as f64) as u64
 }
 
-/// Exponential variate with the given mean (inverse transform).
-fn exp_ns(state: &mut u64, mean: u64) -> u64 {
-    let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-    ((-(1.0 - u).ln()) * mean as f64) as u64
+/// The producer's draws for one task, in stream order: pool index,
+/// inter-arrival gap and execution time (nanoseconds). The producer
+/// seeds `rng` with `Rng::from_raw(cfg.seed | 1)`.
+fn draw_task(rng: &mut Rng, pool_len: usize, cfg: &PipelineConfig) -> (usize, u64, u64) {
+    let ix = rng.below(pool_len as u64) as usize;
+    let gap = exp_ns(rng, cfg.mean_interarrival_ns);
+    let exec = exp_ns(rng, cfg.mean_exec_ns).max(1);
+    (ix, gap, exec)
+}
+
+/// The module pool's PRM generators (one per module, seeded from
+/// `cfg.seed`).
+fn pool_generators(cfg: &PipelineConfig) -> Vec<GenericPrm> {
+    (0..cfg.modules.max(1))
+        .map(|m| GenericPrm::random(cfg.seed.wrapping_add(u64::from(m) * 7919), cfg.scale))
+        .collect()
 }
 
 /// Peak resident set size in bytes, best effort: `VmHWM` where procfs
@@ -299,9 +315,7 @@ pub fn run_pipeline(
     // Setup (not part of the streamed stages): synthesize the module
     // pool, plan every module and a covering organization, and build the
     // homogeneous PR system all chunks simulate against.
-    let generators: Vec<GenericPrm> = (0..cfg.modules.max(1))
-        .map(|m| GenericPrm::random(cfg.seed.wrapping_add(u64::from(m) * 7919), cfg.scale))
-        .collect();
+    let generators = pool_generators(cfg);
     let pool: Vec<SynthReport> = generators
         .iter()
         .map(|g| engine.synthesize(g, family))
@@ -356,7 +370,7 @@ pub fn run_pipeline(
         let pool_ref = &pool;
         let metrics_ref = metrics;
         let producer = scope.spawn(move || {
-            let mut rng = cfg.seed | 1;
+            let mut rng = Rng::from_raw(cfg.seed | 1);
             let mut remaining = cfg.tasks;
             while remaining > 0 {
                 let n = remaining.min(u64::from(chunk)) as u32;
@@ -365,9 +379,8 @@ pub fn run_pipeline(
                 let mut tasks = Vec::with_capacity(n as usize);
                 let mut t = 0u64;
                 for id in 0..n {
-                    let ix = (splitmix64(&mut rng) % pool_ref.len() as u64) as usize;
-                    t += exp_ns(&mut rng, cfg.mean_interarrival_ns);
-                    let exec = exp_ns(&mut rng, cfg.mean_exec_ns).max(1);
+                    let (ix, gap, exec) = draw_task(&mut rng, pool_ref.len(), cfg);
+                    t += gap;
                     tasks.push(HwTask::from_report(id, &pool_ref[ix], t, exec));
                 }
                 let wl = Workload::new(tasks);
@@ -391,7 +404,6 @@ pub fn run_pipeline(
             handles.push(scope.spawn(move || {
                 let mut plan_scratch = PlanScratch::default();
                 let mut emit_scratch = EmitScratch::new();
-                let mut emit_buf: Vec<u32> = Vec::new();
                 let mut sim_scratch = SimScratch::new();
                 let mut pool_ix: Vec<usize> = Vec::new();
                 let mut acc = Totals::default();
@@ -439,21 +451,20 @@ pub fn run_pipeline(
                     }
                     engine.metrics().record_stage("pipeline:plan", t0.elapsed());
 
-                    // Placement + arena emission at task rate: each
-                    // dispatch renders its module's partial bitstream
-                    // through the per-worker emission arena (rendered-
-                    // stream cache hits in steady state) into one reused
-                    // buffer — zero allocations per task once warm.
+                    // Placement + emission at task rate: each dispatch
+                    // takes its module's partial bitstream from the
+                    // per-worker emission arena. Once warm, a pool that
+                    // fits the rendered-stream cache is served by shared
+                    // reference — no render, no copy, no allocation.
                     let t0 = Instant::now();
                     for &id in wl.module_ids() {
-                        bitstream::emit_arc_into(
+                        let words = bitstream::emit_shared(
                             &mut emit_scratch,
                             &specs[pool_ix[id.0 as usize]],
-                            &mut emit_buf,
                         )
                         .expect("pool specs are valid");
                         acc.bitstreams += 1;
-                        acc.bitstream_bytes += emit_buf.len() as u64 * bytes_word;
+                        acc.bitstream_bytes += words.len() as u64 * bytes_word;
                     }
                     engine
                         .metrics()
@@ -527,9 +538,10 @@ pub fn run_pipeline(
 /// The returned report is the full report of the **highest-throughput**
 /// run, with [`PipelineReport::worker_sweep`] holding one row per worker
 /// count (speedups normalized to the 1-worker row, or the first row if
-/// the sweep omits 1). Read the rows against
-/// [`PipelineReport::host_cpus`]: worker counts beyond the host's CPUs
-/// measure oversubscription, not scaling.
+/// the sweep omits 1). Rows whose workers plus the producer outnumber
+/// [`PipelineReport::host_cpus`] are marked
+/// [`WorkerScalingRow::oversubscribed`]: they measure contention, not
+/// scaling.
 pub fn run_pipeline_sweep(
     cfg: &PipelineConfig,
     worker_counts: &[usize],
@@ -550,6 +562,7 @@ pub fn run_pipeline_sweep(
             elapsed_ms: report.elapsed_ms,
             tasks_per_sec: report.tasks_per_sec,
             speedup_vs_one: 0.0,
+            oversubscribed: report.workers + 1 > report.host_cpus,
         });
         if best
             .as_ref()
@@ -629,6 +642,9 @@ mod tests {
         assert_eq!(report.crc_dispatch, bitstream::arch::active().crc.name(),);
         assert_eq!(report.fill_dispatch, bitstream::arch::active().fill.name(),);
         assert!(report.host_cpus >= 1);
+        for row in &report.worker_sweep {
+            assert_eq!(row.oversubscribed, row.workers + 1 > report.host_cpus);
+        }
         #[cfg(target_os = "linux")]
         assert!(report.peak_rss_bytes > 0);
     }
@@ -646,5 +662,64 @@ mod tests {
         assert_eq!(a.simulated_makespan_ns, b.simulated_makespan_ns);
         assert_eq!(a.reconfigurations, b.reconfigurations);
         assert_eq!(a.bitstream_bytes, b.bitstream_bytes);
+    }
+
+    /// Every task's emitted stream is its module's Eq. 18 size: the byte
+    /// total is the sum of the planned sizes over the producer's draws.
+    #[test]
+    fn bitstream_bytes_sum_eq18_over_tasks() {
+        let cfg = PipelineConfig {
+            tasks: 3_000,
+            chunk: 512,
+            modules: 12, // overflows the per-worker stream cache
+            workers: 2,
+            ..PipelineConfig::default()
+        };
+        let report = run_pipeline(&cfg).unwrap();
+        let device = fabric::device_by_name(&cfg.device).unwrap();
+        let engine = Engine::new();
+        let plan_bytes: Vec<u64> = pool_generators(&cfg)
+            .iter()
+            .map(|g| {
+                let report = engine.synthesize(g, device.family());
+                engine.plan(&report, &device).unwrap().bitstream_bytes
+            })
+            .collect();
+        let mut rng = Rng::from_raw(cfg.seed | 1);
+        let expected: u64 = (0..cfg.tasks)
+            .map(|_| plan_bytes[draw_task(&mut rng, plan_bytes.len(), &cfg).0])
+            .sum();
+        assert_eq!(report.bitstreams_emitted, cfg.tasks);
+        assert_eq!(report.bitstream_bytes, expected);
+    }
+
+    /// The simulated outcome and the emitted bytes do not depend on how
+    /// many workers share the chunks.
+    #[test]
+    fn totals_are_invariant_in_worker_count() {
+        let run = |workers| {
+            run_pipeline(&PipelineConfig {
+                tasks: 2_500,
+                chunk: 256,
+                workers,
+                ..PipelineConfig::default()
+            })
+            .unwrap()
+        };
+        let (one, two) = (run(1), run(2));
+        assert_eq!(one.workers, 1);
+        assert_eq!(two.workers, 2);
+        let totals = |r: &PipelineReport| {
+            (
+                r.tasks,
+                r.bitstreams_emitted,
+                r.bitstream_bytes,
+                r.simulated_makespan_ns,
+                r.reconfigurations,
+                r.reuse_hits,
+                r.total_wait_ns,
+            )
+        };
+        assert_eq!(totals(&one), totals(&two));
     }
 }
