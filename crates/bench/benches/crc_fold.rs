@@ -4,13 +4,13 @@
 //! seed's bitwise loop (frozen in `bitstream::crc::baseline`), the PR-2
 //! slice-by-16 chain (`crc_words_slice16`), the PR-7 portable polynomial
 //! folding kernel (`crc_words_folded`, four independent lanes per
-//! 512-byte super-block), and whichever of the PR-8 SIMD kernels this
-//! host compiles and detects (`crc32q` hardware CRC, PCLMULQDQ carryless
-//! folding) — so `BENCH_crc.json` carries mutually consistent
-//! throughputs. The portable fold's bar is ≥2× over slice-16; the SIMD
-//! kernels' bar is ≥2× over the portable fold (on hardware that has
-//! them). Payload fill (AVX2 vs portable splitmix) is measured the same
-//! way, and the artifact records which dispatch paths are active.
+//! 512-byte super-block), and the PCLMULQDQ carryless folding kernel
+//! when this host compiles and detects it — so `BENCH_crc.json` carries
+//! mutually consistent throughputs. The portable fold's bar is ≥2× over
+//! slice-16; the SIMD kernel's bar is ≥2× over the portable fold (on
+//! hardware that has it). Payload fill (AVX2 vs portable splitmix) is
+//! measured the same way, and the artifact records which dispatch paths
+//! are active.
 //!
 //! The second half measures whole-stream emission: single-spec
 //! `generate` vs buffer-reusing `emit_into`, and batch emission through
@@ -18,13 +18,13 @@
 //! `EmitScratch` template/stream caches) against the frozen PR-2 push
 //! emitter (`writer::reference::generate_batch`); the arena's bar is ≥3×.
 //! A counting `#[global_allocator]` asserts the steady-state arena path:
-//! a warm repeated-spec `generate_with` call is one rendered-stream cache
-//! hit — a single exact-size `Vec` clone, ≤2 allocations.
+//! a warm repeated-spec `emit_shared` call is one rendered-stream cache
+//! hit — an `Arc` clone, no allocation.
 
 use bitstream::arch;
 use bitstream::crc::baseline::crc_words_bitwise;
 use bitstream::crc::{crc_words, crc_words_folded, crc_words_slice16};
-use bitstream::{emit_into, generate, generate_batch, generate_with, BitstreamSpec, EmitScratch};
+use bitstream::{emit_into, emit_shared, generate, generate_batch, BitstreamSpec, EmitScratch};
 use criterion::{criterion_group, Criterion, Throughput};
 use fabric::database::xc5vlx110t;
 use serde::Serialize;
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Counts every heap allocation so the warm arena path can be asserted
-/// (nearly) allocation-free.
+/// allocation-free.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -105,11 +105,6 @@ fn bench_crc(c: &mut Criterion) {
     g.bench_function("folded_64kw", |b| {
         b.iter(|| crc_words_folded(black_box(&buf)))
     });
-    if arch::crc_words_hw(&buf).is_some() {
-        g.bench_function("hw_crc32c_64kw", |b| {
-            b.iter(|| arch::crc_words_hw(black_box(&buf)))
-        });
-    }
     if arch::crc_words_clmul(&buf).is_some() {
         g.bench_function("clmul_fold_64kw", |b| {
             b.iter(|| arch::crc_words_clmul(black_box(&buf)))
@@ -173,20 +168,17 @@ struct CrcBenchArtifact {
     crc_dispatch: String,
     /// Payload-fill path `Dispatch::detect` picked on this host.
     fill_dispatch: String,
-    /// `crc32q` hardware kernel (None when the host lacks SSE4.2/crc).
-    hw_crc_min_ms: Option<f64>,
-    hw_crc_mwords_per_sec: Option<f64>,
     /// PCLMULQDQ folding kernel (None off x86_64 or without pclmulqdq).
     clmul_min_ms: Option<f64>,
     clmul_mwords_per_sec: Option<f64>,
-    /// Best SIMD CRC kernel over the portable fold (the PR-8 acceptance
-    /// bar: ≥2 on SSE4.2 hardware). None when no SIMD kernel is present.
+    /// CLMUL kernel over the portable fold (the PR-8 acceptance bar: ≥2
+    /// on PCLMULQDQ hardware). None when the kernel is absent.
     simd_crc_speedup: Option<f64>,
     /// Whatever `crc_words` dispatches to, timed through the public API.
     dispatched_min_ms: f64,
     fill_portable_min_ms: f64,
     fill_simd_min_ms: Option<f64>,
-    /// AVX2/NEON fill over portable splitmix (None without a SIMD fill).
+    /// AVX2 fill over portable splitmix (None without a SIMD fill).
     fill_speedup: Option<f64>,
     generate_min_us: f64,
     emit_into_min_us: f64,
@@ -196,7 +188,7 @@ struct CrcBenchArtifact {
     batch_arena_min_ms: f64,
     /// arena `generate_batch` over the frozen PR-2 push emitter (bar: ≥3).
     batch_speedup: f64,
-    /// Heap allocations in one warm repeated-spec `generate_with` call.
+    /// Heap allocations in one warm repeated-spec `emit_shared` call.
     warm_emit_allocations: u64,
 }
 
@@ -233,11 +225,6 @@ fn emit_artifact() {
     let folded = min_time(samples, &mut || {
         black_box(crc_words_folded(&buf));
     });
-    let hw_crc = arch::crc_words_hw(&buf).map(|_| {
-        min_time(samples, &mut || {
-            black_box(arch::crc_words_hw(&buf));
-        })
-    });
     let clmul = arch::crc_words_clmul(&buf).map(|_| {
         min_time(samples, &mut || {
             black_box(arch::crc_words_clmul(&buf));
@@ -246,10 +233,6 @@ fn emit_artifact() {
     let dispatched = min_time(samples, &mut || {
         black_box(crc_words(&buf));
     });
-    let best_simd = match (hw_crc, clmul) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
 
     let mut fill_buf = vec![0u32; buf.len()];
     let fill_portable = min_time(samples, &mut || {
@@ -286,21 +269,19 @@ fn emit_artifact() {
     });
 
     // Steady-state allocation audit: after warm-up, a repeated-spec
-    // `generate_with` call is a rendered-stream cache hit — one
-    // exact-size Vec clone for the returned words (realloc-free), and
-    // nothing else.
+    // `emit_shared` call is a rendered-stream cache hit — an `Arc`
+    // clone of the cached words, and no allocation at all.
     let mut scratch = EmitScratch::new();
     for _ in 0..4 {
-        black_box(generate_with(&mut scratch, spec).unwrap());
+        black_box(emit_shared(&mut scratch, spec).unwrap());
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let warm = generate_with(&mut scratch, spec).unwrap();
+    let warm = emit_shared(&mut scratch, spec).unwrap();
     let warm_emit_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     drop(warm);
-    assert!(
-        warm_emit_allocations <= 2,
-        "warm arena emission should be a single stream-cache Vec clone, \
-         saw {warm_emit_allocations} allocations"
+    assert_eq!(
+        warm_emit_allocations, 0,
+        "warm arena emission should be an allocation-free stream-cache hit"
     );
 
     let artifact = CrcBenchArtifact {
@@ -316,11 +297,9 @@ fn emit_artifact() {
         folded_mwords_per_sec: buf.len() as f64 / folded / 1e6,
         crc_dispatch: arch::active().crc.name().to_string(),
         fill_dispatch: arch::active().fill.name().to_string(),
-        hw_crc_min_ms: hw_crc.map(|t| t * 1e3),
-        hw_crc_mwords_per_sec: hw_crc.map(|t| buf.len() as f64 / t / 1e6),
         clmul_min_ms: clmul.map(|t| t * 1e3),
         clmul_mwords_per_sec: clmul.map(|t| buf.len() as f64 / t / 1e6),
-        simd_crc_speedup: best_simd.map(|t| folded / t),
+        simd_crc_speedup: clmul.map(|t| folded / t),
         dispatched_min_ms: dispatched * 1e3,
         fill_portable_min_ms: fill_portable * 1e3,
         fill_simd_min_ms: fill_simd.map(|t| t * 1e3),
@@ -347,9 +326,7 @@ fn emit_artifact() {
     );
     let opt = |ms: Option<f64>| ms.map_or_else(|| "n/a".to_string(), |v| format!("{v:.3} ms"));
     println!(
-        "simd crc: hw-crc32c {}, clmul-fold {}, best {} over portable fold; \
-         dispatch crc={} fill={}",
-        opt(artifact.hw_crc_min_ms),
+        "simd crc: clmul-fold {} ({} over portable fold); dispatch crc={} fill={}",
         opt(artifact.clmul_min_ms),
         artifact
             .simd_crc_speedup

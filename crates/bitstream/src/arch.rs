@@ -7,18 +7,19 @@
 //! module detects CPU features **once per process** and routes the hot
 //! entry points to the fastest implementation the host supports:
 //!
-//! | path | x86_64 | aarch64 |
-//! |------|--------|---------|
-//! | CRC  | PCLMULQDQ 4×128-bit fold → SSE4.2 `crc32q` reduction, or the SSE4.2 `crc32q` four-lane kernel | ARMv8 `crc32cx` four-lane kernel |
+//! | path | x86_64 | other targets |
+//! |------|--------|---------------|
+//! | CRC  | PCLMULQDQ 4×128-bit fold → SSE4.2 `crc32q` reduction and tail | portable fold |
 //! | fill | AVX2 8-lane counter splitmix | portable (autovectorized) |
 //!
-//! The CRC-32C (Castagnoli) polynomial is natively supported by the x86
-//! `crc32` instruction family and the ARMv8 `crc32c*` instructions, so
-//! the hardware paths compute the *identical* checksum, not an
-//! approximation. The carryless-multiply kernel derives its fold
-//! constants at compile time from the same `advance` algebra the
-//! portable folded kernel is built on (see
-//! [`crate::crc::clmul_fold_const`]).
+//! One SIMD kernel per path: the one that wins end to end. The CRC-32C
+//! (Castagnoli) polynomial is natively supported by the x86 `crc32`
+//! instruction family, so the SIMD path computes the *identical*
+//! checksum, not an approximation. The carryless-multiply kernel derives
+//! its fold constants at compile time from the same `advance` algebra
+//! the portable folded kernel is built on (see
+//! [`crate::crc::clmul_fold_const`]). An x86 CPU without PCLMULQDQ, and
+//! every non-x86 target, runs the portable kernels.
 //!
 //! ## Dispatch policy
 //!
@@ -35,15 +36,15 @@
 //!
 //! ## Unsafe boundary
 //!
-//! The crate denies `unsafe_code` globally; only this module's
-//! arch-specific submodules and the thin wrappers that call them carry
+//! The crate denies `unsafe_code` globally; only this module's x86
+//! submodule and the thin wrappers that call it carry
 //! `#[allow(unsafe_code)]`, each with a `SAFETY` comment. Every unsafe
 //! function is `#[target_feature]`-annotated, and every call site either
 //! sits behind the `OnceLock` table (populated only after
-//! `is_x86_feature_detected!` / `is_aarch64_feature_detected!` succeeds)
-//! or re-verifies the feature itself. The kernels contain no raw-pointer
-//! arithmetic beyond unaligned SIMD loads/stores that are bounds-checked
-//! by their callers in ordinary safe code.
+//! `is_x86_feature_detected!` succeeds) or re-verifies the feature
+//! itself. The kernels contain no raw-pointer arithmetic beyond
+//! unaligned SIMD loads/stores that are bounds-checked by their callers
+//! in ordinary safe code.
 //!
 //! Every dispatchable variant is property-tested byte-identical to the
 //! frozen `crc::baseline` / `writer::reference` oracles in
@@ -58,9 +59,6 @@ pub enum CrcPath {
     /// Carryless-multiply folding (x86 PCLMULQDQ) with a hardware-CRC
     /// reduction and tail.
     Clmul,
-    /// Hardware CRC-32C instructions (x86 SSE4.2 `crc32q` / ARMv8
-    /// `crc32cx`), four-lane folded.
-    HwCrc,
     /// The portable folded / slice-16 kernel.
     Portable,
 }
@@ -70,7 +68,6 @@ impl CrcPath {
     pub fn name(self) -> &'static str {
         match self {
             CrcPath::Clmul => "clmul-fold",
-            CrcPath::HwCrc => "hw-crc32c",
             CrcPath::Portable => "portable-folded",
         }
     }
@@ -131,11 +128,10 @@ impl Dispatch {
 
 #[cfg(target_arch = "x86_64")]
 fn detect_native() -> Dispatch {
-    let sse42 = std::arch::is_x86_feature_detected!("sse4.2");
-    let crc = if sse42 && std::arch::is_x86_feature_detected!("pclmulqdq") {
+    let crc = if std::arch::is_x86_feature_detected!("sse4.2")
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+    {
         CrcPath::Clmul
-    } else if sse42 {
-        CrcPath::HwCrc
     } else {
         CrcPath::Portable
     };
@@ -147,23 +143,7 @@ fn detect_native() -> Dispatch {
     Dispatch { crc, fill }
 }
 
-#[cfg(target_arch = "aarch64")]
-fn detect_native() -> Dispatch {
-    let crc = if std::arch::is_aarch64_feature_detected!("crc") {
-        CrcPath::HwCrc
-    } else {
-        CrcPath::Portable
-    };
-    // The fill kernel relies on 64-bit lane multiplies; NEON has no
-    // 64×64 multiply, and the portable counter-form loop already
-    // autovectorizes, so aarch64 keeps the portable fill.
-    Dispatch {
-        crc,
-        fill: FillPath::Portable,
-    }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn detect_native() -> Dispatch {
     Dispatch::portable()
 }
@@ -194,8 +174,6 @@ fn build_kernels(dispatch: Dispatch) -> Kernels {
     let crc: fn(u32, &[u32]) -> u32 = match dispatch.crc {
         #[cfg(target_arch = "x86_64")]
         CrcPath::Clmul => crc_clmul_kernel,
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        CrcPath::HwCrc => crc_hw_kernel,
         _ => crc_portable_kernel,
     };
     let fill: fn(u64, &mut [u32]) = match dispatch.fill {
@@ -240,17 +218,6 @@ fn fill_portable_kernel(seed: u64, out: &mut [u32]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // SAFETY: kernel entered only after verifying SSE4.2.
-fn crc_hw_kernel(state: u32, words: &[u32]) -> u32 {
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: `crc_update_hw` requires SSE4.2, verified just above.
-        unsafe { x86::crc_update_hw(state, words) }
-    } else {
-        crate::crc::update_portable(state, words)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // SAFETY: kernel entered only after verifying PCLMULQDQ+SSE4.2.
 fn crc_clmul_kernel(state: u32, words: &[u32]) -> u32 {
     if std::arch::is_x86_feature_detected!("pclmulqdq")
@@ -275,42 +242,12 @@ fn fill_avx2_kernel(seed: u64, out: &mut [u32]) {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)] // SAFETY: kernel entered only after verifying the crc feature.
-fn crc_hw_kernel(state: u32, words: &[u32]) -> u32 {
-    if std::arch::is_aarch64_feature_detected!("crc") {
-        // SAFETY: `crc_update_hw` requires the ARMv8 crc feature,
-        // verified just above.
-        unsafe { aarch64::crc_update_hw(state, words) }
-    } else {
-        crate::crc::update_portable(state, words)
-    }
-}
-
 // ------------------------------------------- probe-style entry points
 //
 // Benchmarks and the kernel-matrix equivalence tests need to name each
 // variant explicitly, regardless of which one dispatch would pick. These
 // return `None` / `false` when the host CPU (or target arch) lacks the
 // kernel, so callers can probe without cfg ladders of their own.
-
-/// Checksum a word slice with the hardware-CRC kernel, if this CPU has
-/// one (`Some(crc)`), or `None` otherwise.
-#[allow(unsafe_code)] // SAFETY: each arm verifies its feature before the unsafe call.
-pub fn crc_words_hw(words: &[u32]) -> Option<u32> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: SSE4.2 verified just above.
-        return Some(!unsafe { x86::crc_update_hw(0xFFFF_FFFF, words) });
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("crc") {
-        // SAFETY: the ARMv8 crc feature verified just above.
-        return Some(!unsafe { aarch64::crc_update_hw(0xFFFF_FFFF, words) });
-    }
-    let _ = words;
-    None
-}
 
 /// Checksum a word slice with the carryless-multiply folding kernel, if
 /// this CPU has one (`Some(crc)`), or `None` otherwise.
@@ -356,7 +293,7 @@ pub fn fill_words_simd(seed: u64, out: &mut [u32]) -> bool {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE4.2 / PCLMULQDQ / AVX2 kernels.
+    //! PCLMULQDQ (with SSE4.2 reduction and tail) and AVX2 kernels.
     //!
     //! SAFETY policy: every function here is `unsafe fn` with a
     //! `#[target_feature]` contract — the caller must have verified the
@@ -367,7 +304,7 @@ mod x86 {
     #![allow(unsafe_code)]
     #![deny(unsafe_op_in_unsafe_fn)]
 
-    use crate::crc::{advance, clmul_fold_const, ADVANCE, LANE_WORDS, SUPER_WORDS};
+    use crate::crc::clmul_fold_const;
     use crate::writer::{splitmix32, GAMMA};
     use core::arch::x86_64::{
         __m128i, __m256i, _mm256_add_epi64, _mm256_loadu_si256, _mm256_mul_epu32,
@@ -387,7 +324,7 @@ mod x86 {
     }
 
     /// Single-chain `crc32q`/`crc32l` update for inputs shorter than the
-    /// folding kernels' block sizes (and for their tails).
+    /// folding kernel's block size (and for its tail).
     ///
     /// # Safety
     /// CPU must support SSE4.2.
@@ -403,41 +340,6 @@ mod x86 {
             st = _mm_crc32_u32(st, w.swap_bytes());
         }
         st
-    }
-
-    /// Four-lane hardware CRC-32C kernel: the same super-block / lane
-    /// structure as the portable folded kernel (four independent 128-byte
-    /// lane chains per 512-byte super-block, recombined through the
-    /// shared `ADVANCE` operators), with each lane chain advanced by the
-    /// 8-bytes-per-instruction `crc32q` instead of table lookups. The
-    /// four lanes hide the instruction's 3-cycle latency.
-    ///
-    /// # Safety
-    /// CPU must support SSE4.2.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn crc_update_hw(mut state: u32, words: &[u32]) -> u32 {
-        let mut blocks = words.chunks_exact(SUPER_WORDS);
-        for block in &mut blocks {
-            let (a, rest) = block.split_at(LANE_WORDS);
-            let (b, rest) = rest.split_at(LANE_WORDS);
-            let (c, d) = rest.split_at(LANE_WORDS);
-            let mut s0 = u64::from(state);
-            let (mut s1, mut s2, mut s3) = (0u64, 0u64, 0u64);
-            let mut i = 0;
-            while i < LANE_WORDS {
-                s0 = _mm_crc32_u64(s0, stream_u64(a, i));
-                s1 = _mm_crc32_u64(s1, stream_u64(b, i));
-                s2 = _mm_crc32_u64(s2, stream_u64(c, i));
-                s3 = _mm_crc32_u64(s3, stream_u64(d, i));
-                i += 2;
-            }
-            state = advance(&ADVANCE[2], s0 as u32)
-                ^ advance(&ADVANCE[1], s1 as u32)
-                ^ advance(&ADVANCE[0], s2 as u32)
-                ^ s3 as u32;
-        }
-        // SAFETY: same contract.
-        unsafe { crc_tail_hw(state, blocks.remainder()) }
     }
 
     // Carryless-multiply fold constants, `(K(D+32), K(D−32))` per fold
@@ -613,69 +515,6 @@ mod x86 {
     }
 }
 
-// ---------------------------------------------------- aarch64 kernels
-
-#[cfg(target_arch = "aarch64")]
-mod aarch64 {
-    //! ARMv8 CRC kernels.
-    //!
-    //! SAFETY policy: as for the x86 module — `unsafe fn` +
-    //! `#[target_feature]`, features verified by every caller. A PMULL
-    //! folding kernel (the aarch64 analogue of the PCLMULQDQ path) is
-    //! deliberately not implemented yet: this repository cannot
-    //! compile-check aarch64, so only the simple, high-confidence
-    //! `crc32c*` kernel ships for it.
-    #![allow(unsafe_code)]
-    #![deny(unsafe_op_in_unsafe_fn)]
-
-    use crate::crc::{advance, ADVANCE, LANE_WORDS, SUPER_WORDS};
-    use core::arch::aarch64::{__crc32cd, __crc32cw};
-
-    /// Two adjacent configuration words as the 64-bit value `crc32cx`
-    /// consumes (low byte first; the stream is big-endian per word).
-    #[inline(always)]
-    fn stream_u64(words: &[u32], i: usize) -> u64 {
-        (u64::from(words[i + 1].swap_bytes()) << 32) | u64::from(words[i].swap_bytes())
-    }
-
-    /// Four-lane hardware CRC-32C kernel, mirroring the x86 `crc32q`
-    /// kernel: independent lane chains per super-block, recombined with
-    /// the shared `ADVANCE` operators.
-    ///
-    /// # Safety
-    /// CPU must support the ARMv8 `crc` feature.
-    #[target_feature(enable = "crc")]
-    pub(super) unsafe fn crc_update_hw(mut state: u32, words: &[u32]) -> u32 {
-        let mut blocks = words.chunks_exact(SUPER_WORDS);
-        for block in &mut blocks {
-            let (a, rest) = block.split_at(LANE_WORDS);
-            let (b, rest) = rest.split_at(LANE_WORDS);
-            let (c, d) = rest.split_at(LANE_WORDS);
-            let mut s0 = state;
-            let (mut s1, mut s2, mut s3) = (0u32, 0u32, 0u32);
-            let mut i = 0;
-            while i < LANE_WORDS {
-                s0 = __crc32cd(s0, stream_u64(a, i));
-                s1 = __crc32cd(s1, stream_u64(b, i));
-                s2 = __crc32cd(s2, stream_u64(c, i));
-                s3 = __crc32cd(s3, stream_u64(d, i));
-                i += 2;
-            }
-            state =
-                advance(&ADVANCE[2], s0) ^ advance(&ADVANCE[1], s1) ^ advance(&ADVANCE[0], s2) ^ s3;
-        }
-        let tail = blocks.remainder();
-        let mut pairs = tail.chunks_exact(2);
-        for p in &mut pairs {
-            state = __crc32cd(state, stream_u64(p, 0));
-        }
-        if let &[w] = pairs.remainder() {
-            state = __crc32cw(state, w.swap_bytes());
-        }
-        state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,12 +530,10 @@ mod tests {
     #[test]
     fn native_detection_matches_cpu_features() {
         let d = Dispatch::detect(false);
-        let sse42 = std::arch::is_x86_feature_detected!("sse4.2");
-        let clmul = sse42 && std::arch::is_x86_feature_detected!("pclmulqdq");
+        let clmul = std::arch::is_x86_feature_detected!("sse4.2")
+            && std::arch::is_x86_feature_detected!("pclmulqdq");
         let expect = if clmul {
             CrcPath::Clmul
-        } else if sse42 {
-            CrcPath::HwCrc
         } else {
             CrcPath::Portable
         };
@@ -710,9 +547,6 @@ mod tests {
         let words: Vec<u32> = (0..700u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         for len in [0usize, 1, 2, 3, 15, 16, 17, 127, 128, 129, 512, 700] {
             let expect = crate::crc::crc_words_folded(&words[..len]);
-            if let Some(hw) = crc_words_hw(&words[..len]) {
-                assert_eq!(hw, expect, "hw at {len}");
-            }
             if let Some(cl) = crc_words_clmul(&words[..len]) {
                 assert_eq!(cl, expect, "clmul at {len}");
             }

@@ -31,15 +31,15 @@
 //! inputs, including empty, single-word and non-multiple-of-fold-width
 //! tails.
 //!
-//! On CPUs with hardware CRC-32C support the batch entry points do not
-//! run either portable kernel: [`Crc32::push_words`] routes through
+//! On x86-64 CPUs with PCLMULQDQ and SSE4.2 the batch entry points do
+//! not run either portable kernel: [`Crc32::push_words`] routes through
 //! [`crate::arch`], which detects CPU features once per process and
-//! dispatches to an SSE4.2 `crc32q` / PCLMULQDQ folding / ARMv8 `crc32c`
-//! kernel when available (the CRC-32C polynomial is natively supported
-//! by both ISAs). The portable folded kernel above remains the
-//! always-compiled fallback and the `PRFPGA_FORCE_SCALAR=1` path; every
-//! variant is property-tested byte-identical to the frozen [`baseline`]
-//! in `tests/kernel_matrix.rs`.
+//! dispatches to the carryless-multiply folding kernel (the CRC-32C
+//! polynomial is natively supported by the SSE4.2 `crc32` instructions
+//! it reduces with). The portable folded kernel above remains the
+//! fallback on every other CPU and the `PRFPGA_FORCE_SCALAR=1` path;
+//! every variant is property-tested byte-identical to the frozen
+//! [`baseline`] in `tests/kernel_matrix.rs`.
 
 /// CRC-32C (Castagnoli) polynomial, reflected form.
 const POLY: u32 = 0x82F6_3B78;
@@ -99,16 +99,16 @@ const fn fold4(x: u32, lo: usize) -> u32 {
 // the portable equivalent of a CLMUL fold constant.
 
 /// Words per lane per super-block (128 bytes).
-pub(crate) const LANE_WORDS: usize = 32;
+const LANE_WORDS: usize = 32;
 /// Lanes per super-block.
-pub(crate) const LANES: usize = 4;
+const LANES: usize = 4;
 /// Words per super-block (512 bytes). Inputs shorter than this take the
 /// slice-16 path.
-pub(crate) const SUPER_WORDS: usize = LANE_WORDS * LANES;
+const SUPER_WORDS: usize = LANE_WORDS * LANES;
 
 /// One advance operator: `OP[k][b]` is `advance_n` of the state whose
 /// `k`-th byte is `b` and whose other bytes are zero.
-pub(crate) type AdvanceOp = [[u32; 256]; 4];
+type AdvanceOp = [[u32; 256]; 4];
 
 /// Advance `s` by `n` zero bytes, one table step per byte (const builder
 /// only — the runtime path uses the precomputed operators).
@@ -123,7 +123,7 @@ const fn advance_bytewise(mut s: u32, n: usize) -> u32 {
 
 /// Apply a precomputed advance operator to a state.
 #[inline(always)]
-pub(crate) fn advance(op: &AdvanceOp, s: u32) -> u32 {
+fn advance(op: &AdvanceOp, s: u32) -> u32 {
     op[0][(s & 0xFF) as usize]
         ^ op[1][((s >> 8) & 0xFF) as usize]
         ^ op[2][((s >> 16) & 0xFF) as usize]
@@ -170,7 +170,7 @@ const fn compose_advance_ops(outer: &AdvanceOp, inner: &AdvanceOp) -> AdvanceOp 
 /// `ADVANCE[k-1]` advances a state by `k` lanes (`k·128` zero bytes),
 /// i.e. multiplies it by `x^(1024k) mod P`. Built once at compile time:
 /// the one-lane operator bytewise, the others by operator composition.
-pub(crate) static ADVANCE: [AdvanceOp; LANES - 1] = build_advance_ops();
+static ADVANCE: [AdvanceOp; LANES - 1] = build_advance_ops();
 
 const fn build_advance_ops() -> [AdvanceOp; LANES - 1] {
     let a1 = build_advance_op(LANE_WORDS * 4);
@@ -253,8 +253,8 @@ pub(crate) fn update_portable(mut state: u32, words: &[u32]) -> u32 {
     update_slice16(state, &words[split..])
 }
 
-/// Reflected fold constant for the carryless-multiply kernels:
-/// `rev32(x^bits mod P) << 1`, the form a `PCLMULQDQ`/`PMULL` folding
+/// Reflected fold constant for the carryless-multiply kernel:
+/// `rev32(x^bits mod P) << 1`, the form a `PCLMULQDQ` folding
 /// step multiplies a 64-bit accumulator half by. Derived from the same
 /// `advance_bytewise` machinery as the table operators (advancing the
 /// state `rev32(1)` by `bits/8` zero bytes multiplies it by `x^bits`),

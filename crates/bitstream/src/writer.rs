@@ -534,13 +534,6 @@ pub fn generate_arc(spec: &Arc<BitstreamSpec>) -> Result<PartialBitstream, GenEr
     })
 }
 
-/// [`generate`], consuming the spec — no `BitstreamSpec` clone.
-///
-/// The variant batch pipelines should prefer when they own their specs.
-pub fn generate_owned(spec: BitstreamSpec) -> Result<PartialBitstream, GenError> {
-    generate_arc(&Arc::new(spec))
-}
-
 /// `spec`'s word stream as a shared, immutable value, through a warm
 /// [`EmitScratch`].
 ///
@@ -574,18 +567,6 @@ pub fn emit_shared(
     Ok(words)
 }
 
-/// [`generate_arc`] through a warm [`EmitScratch`]: [`emit_shared`]
-/// copied into the bitstream's own `Vec` (one exact-size allocation).
-pub fn generate_with(
-    scratch: &mut EmitScratch,
-    spec: &Arc<BitstreamSpec>,
-) -> Result<PartialBitstream, GenError> {
-    Ok(PartialBitstream {
-        spec: Arc::clone(spec),
-        words: emit_shared(scratch, spec)?.to_vec(),
-    })
-}
-
 /// [`emit_shared`] copied into a caller-owned buffer, for callers that
 /// need the words in a `Vec` they own without allocating one per call.
 ///
@@ -604,34 +585,16 @@ pub fn emit_arc_into(
 /// Emit `spec`'s configuration words into `out`, reusing its allocation.
 ///
 /// `out` is cleared first; on success it holds the exact word stream
-/// [`generate`] would produce (on error it is left cleared). This is the
-/// streaming core every generation entry point shares: callers that loop
-/// over many specs keep one buffer (or one per rayon worker, as
-/// [`digest_batch`] does) and amortize `Vec` growth to zero — the buffer
-/// is sized once per spec via [`emitted_words`], never grown word by
-/// word.
+/// [`generate`] would produce (on error it is left cleared). Callers
+/// that loop over many specs keep one buffer and amortize `Vec` growth
+/// to zero — the buffer is sized once per spec via [`emitted_words`],
+/// never grown word by word.
 pub fn emit_into(spec: &BitstreamSpec, out: &mut Vec<u32>) -> Result<(), GenError> {
     out.clear();
     validate_columns(spec)?;
     let tpl = build_template(spec);
     out.resize(tpl.total_words, 0);
     emit_template(&tpl, spec, out);
-    Ok(())
-}
-
-/// [`emit_into`] through a warm [`EmitScratch`] template memo. Used by
-/// digest/streaming loops that see repeated module/device triples but do
-/// not hold `Arc` specs (so the rendered-stream cache does not apply).
-pub fn emit_into_with(
-    scratch: &mut EmitScratch,
-    spec: &BitstreamSpec,
-    out: &mut Vec<u32>,
-) -> Result<(), GenError> {
-    out.clear();
-    validate_columns(spec)?;
-    let tpl = scratch.template(spec);
-    out.resize(tpl.total_words, 0);
-    emit_template(tpl, spec, out);
     Ok(())
 }
 
@@ -647,45 +610,12 @@ pub fn generate_batch(specs: &[Arc<BitstreamSpec>]) -> Vec<Result<PartialBitstre
     use rayon::prelude::*;
     specs
         .par_iter()
-        .map_with(EmitScratch::new(), generate_with)
-        .collect()
-}
-
-/// Summary of one generated bitstream, produced without retaining words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BitstreamDigest {
-    /// Emitted configuration words.
-    pub words: usize,
-    /// Size in bytes (`words * Bytes_word`, the Eq. 18 quantity).
-    pub bytes: u64,
-    /// CRC-32C over the full emitted word stream (identity fingerprint,
-    /// not the in-stream payload CRC).
-    pub crc: u32,
-}
-
-/// Generate and summarize many bitstreams without keeping their words.
-///
-/// The fully allocation-free batch path: each rayon worker owns one
-/// reused emission buffer plus a template memo, and per spec only a
-/// 16-byte digest escapes. This is what workload-scale evaluation loops
-/// (millions of bitstreams) should use when they need sizes/fingerprints
-/// rather than the streams.
-pub fn digest_batch(specs: &[BitstreamSpec]) -> Vec<Result<BitstreamDigest, GenError>> {
-    use rayon::prelude::*;
-    specs
-        .par_iter()
-        .map_with(
-            (EmitScratch::new(), Vec::new()),
-            |(scratch, buf): &mut (EmitScratch, Vec<u32>), spec| {
-                emit_into_with(scratch, spec, buf)?;
-                Ok(BitstreamDigest {
-                    words: buf.len(),
-                    bytes: buf.len() as u64
-                        * u64::from(spec.organization.family.params().frames.bytes_word),
-                    crc: crate::crc::crc_words(buf),
-                })
-            },
-        )
+        .map_with(EmitScratch::new(), |scratch, spec| {
+            Ok(PartialBitstream {
+                spec: Arc::clone(spec),
+                words: emit_shared(scratch, spec)?.to_vec(),
+            })
+        })
         .collect()
 }
 
@@ -951,35 +881,41 @@ mod tests {
             .iter()
             .map(|&p| Arc::new(spec_for(p, &device)))
             .collect();
-        // Two interleaved passes: first populates, second hits both caches.
-        for _ in 0..2 {
-            for spec in &specs {
-                let cached = generate_with(&mut scratch, spec).unwrap();
-                let plain = generate(spec).unwrap();
-                assert_eq!(cached.words, plain.words);
-                assert!(Arc::ptr_eq(&cached.spec, spec));
-            }
+        // Two interleaved passes: the first populates both caches, the
+        // second hits the stream cache and shares the first pass's Arcs.
+        let first: Vec<Arc<[u32]>> = specs
+            .iter()
+            .map(|spec| emit_shared(&mut scratch, spec).unwrap())
+            .collect();
+        for (spec, words) in specs.iter().zip(&first) {
+            assert_eq!(words[..], generate(spec).unwrap().words[..]);
+            assert!(Arc::ptr_eq(
+                &emit_shared(&mut scratch, spec).unwrap(),
+                words
+            ));
         }
         // Same module at a different placement: template hit, stream miss,
         // different FARs — must re-render, not serve the cached stream.
         let mut moved = (*specs[0]).clone();
         moved.start_col += 2;
         let moved = Arc::new(moved);
-        let cached = generate_with(&mut scratch, &moved).unwrap();
-        assert_eq!(cached.words, generate(&moved).unwrap().words);
-        assert_ne!(cached.words, generate(&specs[0]).unwrap().words);
+        let templates = scratch.templates.len();
+        let cached = emit_shared(&mut scratch, &moved).unwrap();
+        assert_eq!(scratch.templates.len(), templates, "template miss");
+        assert!(!Arc::ptr_eq(&cached, &first[0]));
+        assert_eq!(cached[..], generate(&moved).unwrap().words[..]);
+        assert_ne!(cached[..], first[0][..]);
         // An equal-by-value spec behind a different Arc still hits.
         let twin = Arc::new((*specs[1]).clone());
-        let hit = generate_with(&mut scratch, &twin).unwrap();
-        assert_eq!(hit.words, generate(&twin).unwrap().words);
-        // emit_into_with agrees too.
-        let mut buf = vec![0xdead_beef];
-        emit_into_with(&mut scratch, &specs[2], &mut buf).unwrap();
-        assert_eq!(buf, generate(&specs[2]).unwrap().words);
-        // emit_arc_into agrees on both the miss path (first pass) and
-        // the rendered-stream hit path (second pass over a warm cache),
-        // reusing one output buffer throughout.
-        let mut out = Vec::new();
+        assert!(Arc::ptr_eq(
+            &emit_shared(&mut scratch, &twin).unwrap(),
+            &first[1]
+        ));
+        // emit_arc_into agrees on both the miss path (first pass, fresh
+        // scratch) and the rendered-stream hit path (second pass over the
+        // warm cache), reusing one output buffer throughout.
+        let mut scratch = EmitScratch::new();
+        let mut out = vec![0xdead_beef];
         for _ in 0..2 {
             for spec in &specs {
                 emit_arc_into(&mut scratch, spec, &mut out).unwrap();
@@ -1119,8 +1055,8 @@ mod tests {
             prop_assert_eq!(arena.words.len(), emitted_words(&spec));
             let mut scratch = EmitScratch::new();
             let shared = Arc::new(spec);
-            let cached = generate_with(&mut scratch, &shared).unwrap();
-            prop_assert_eq!(&cached.words, &frozen.words);
+            let cached = emit_shared(&mut scratch, &shared).unwrap();
+            prop_assert_eq!(&cached[..], &frozen.words[..]);
         }
     }
 
@@ -1141,7 +1077,7 @@ mod tests {
     }
 
     #[test]
-    fn owned_and_batch_variants_match_generate() {
+    fn arc_and_batch_variants_match_generate() {
         let device = xc6vlx75t();
         let specs: Vec<BitstreamSpec> = PaperPrm::ALL
             .iter()
@@ -1149,7 +1085,6 @@ mod tests {
             .collect();
         let direct: Vec<PartialBitstream> = specs.iter().map(|s| generate(s).unwrap()).collect();
         for (spec, expect) in specs.iter().zip(&direct) {
-            assert_eq!(&generate_owned(spec.clone()).unwrap(), expect);
             assert_eq!(&generate_arc(&Arc::new(spec.clone())).unwrap(), expect);
         }
         // A batch with every spec repeated — exercises the per-worker
@@ -1164,13 +1099,6 @@ mod tests {
         for (i, got) in batch.iter().enumerate() {
             assert_eq!(got.as_ref().unwrap(), &direct[i % direct.len()]);
         }
-        let digests = digest_batch(&specs);
-        for (d, expect) in digests.iter().zip(&direct) {
-            let d = d.as_ref().unwrap();
-            assert_eq!(d.words, expect.words.len());
-            assert_eq!(d.bytes, expect.len_bytes());
-            assert_eq!(d.crc, crate::crc::crc_words(&expect.words));
-        }
     }
 
     #[test]
@@ -1179,12 +1107,9 @@ mod tests {
         let good = spec_for(PaperPrm::Fir, &device);
         let mut bad = good.clone();
         bad.columns[0] = ResourceKind::Clk;
-        let out = generate_batch(&[Arc::new(good.clone()), Arc::new(bad.clone())]);
+        let out = generate_batch(&[Arc::new(good), Arc::new(bad)]);
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(GenError::ForbiddenColumn(_))));
-        let digests = digest_batch(&[bad, good]);
-        assert!(digests[0].is_err());
-        assert!(digests[1].is_ok());
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Kernel-matrix equivalence: every compiled CRC and payload-fill
 //! variant — frozen bitwise baseline, slice-16, portable folded, the
-//! runtime-dispatched entry point, and whichever hardware kernels this
-//! CPU exposes (SSE4.2 `crc32q`, PCLMULQDQ fold, ARMv8 `crc32c*`, AVX2
-//! fill) — must be byte-identical on arbitrary inputs, including empty,
-//! single-word and odd tails, and must reproduce the standard CRC-32C
-//! check vector.
+//! runtime-dispatched entry point, and whichever SIMD kernels this CPU
+//! exposes (PCLMULQDQ fold, AVX2 fill) — must be byte-identical on
+//! arbitrary inputs, including empty, single-word and odd tails, and
+//! must reproduce the standard CRC-32C check vector.
 //!
-//! The hardware variants are probed through `bitstream::arch`'s
+//! The SIMD variants are probed through `bitstream::arch`'s
 //! `Option`/`bool` entry points, so this suite automatically covers
 //! exactly the set of kernels that can run on the host: on a machine
-//! without SSE4.2 it degenerates to the portable matrix, and under
+//! without PCLMULQDQ it degenerates to the portable matrix, and under
 //! `PRFPGA_FORCE_SCALAR=1` the dispatched entry point is additionally
 //! pinned to the portable result (CI runs the suite both ways).
 
@@ -45,9 +44,6 @@ fn crc_matrix(words: &[u32]) -> Vec<(&'static str, u32)> {
         ("portable-folded", crc_words_folded(words)),
         ("dispatch", crc_words(words)),
     ];
-    if let Some(hw) = arch::crc_words_hw(words) {
-        m.push(("hw-crc32c", hw));
-    }
     if let Some(cl) = arch::crc_words_clmul(words) {
         m.push(("clmul-fold", cl));
     }
@@ -96,8 +92,8 @@ fn check_vector_through_every_kernel() {
 
 /// Boundary lengths around every kernel's internal block sizes: the
 /// 16-word CLMUL block, the 128-byte lanes and 512-byte super-blocks of
-/// the folded kernels, and ragged odd tails (the `crc32q` pair loop's
-/// single-word remainder).
+/// the portable fold, and ragged odd tails (the CLMUL tail's `crc32q`
+/// pair loop and its single-word remainder).
 #[test]
 fn crc_matrix_boundary_lengths() {
     let words: Vec<u32> = (0..1200u32).map(|i| i.wrapping_mul(0x6C07_8965)).collect();

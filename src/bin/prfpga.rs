@@ -6,20 +6,29 @@
 //! prfpga bitstream <device> (--syr <file> | --prm <name>) [-o <out.bin>]
 //! prfpga dump <bitstream.bin>
 //! prfpga floorplan <device> --prms fir,mips,sdram
+//! prfpga simulate <device> --trace <file> [--prrs N] [--clb C] [--dsp D] [--bram B] [--height H] [--preemptive]
 //! prfpga sweep [--json <file>] [--metrics <file>]
-//! prfpga defrag [--device <name>] [--seed S] [--tasks N] [--policy <p>] [--depth N] [--proactive] [--json <file>]
-//! prfpga bench-pipeline [--tasks N] [--device <name>] [--workers W|W1,W2,...] [--json <file>] [--metrics <file>]
+//! prfpga defrag [--device <name>] [--seed S] [--tasks N] [--modules M] [--scale K] [--policy <p>] [--threshold R] [--depth N] [--interarrival NS] [--exec NS] [--proactive] [--json <file>]
+//! prfpga serve [--workers N] [--requests R] [--tenants T] [--modules M] [--seed S] [--scale K] [--state <file>] [--metrics <file>]
+//! prfpga bench-service [--requests R]
+//! prfpga bench-pipeline [--tasks N] [--device <name>] [--chunk C] [--modules M] [--scale K] [--prrs P] [--workers W|W1,W2,...] [--queue-depth Q] [--seed S] [--interarrival NS] [--exec NS] [--json <file>] [--metrics <file>]
 //! prfpga sched-ablate [--seed S] [--tasks N] [--horizon-ms H] [--episodes E] [--admission-sets K] [--slack F] [--json <file>]
 //! ```
+//!
+//! Every command rejects a flag it does not know, a flag with no value
+//! after it, a value that does not parse, and a stray positional
+//! argument; each is an error exit (code 1) with a message.
 
 use parflow::autofloorplan::{auto_floorplan, PrrSpec};
 use prfpga::prelude::*;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("devices") => cmd_devices(),
+        Some("devices") => cmd_devices(&args[1..]),
         Some("plan") => cmd_plan(&args[1..], false),
         Some("bitstream") => cmd_plan(&args[1..], true),
         Some("dump") => cmd_dump(&args[1..]),
@@ -33,7 +42,7 @@ fn main() -> ExitCode {
         Some("sched-ablate") => cmd_sched_ablate(&args[1..]),
         _ => {
             eprintln!(
-                "usage: prfpga <devices|plan|bitstream|dump|floorplan|sweep|defrag> ...\n\
+                "usage: prfpga <command> [args]\n\
                  \n\
                  devices                                    list the device database\n\
                  plan <device> --syr <file>                 plan a PRR from an XST report\n\
@@ -46,7 +55,7 @@ fn main() -> ExitCode {
                  sweep [--json FILE] [--metrics FILE]       evaluate every PRM on every device\n\
                  defrag [--device NAME] [--seed S] [--tasks N] [--modules M] [--scale K]\n\
                         [--policy never|threshold|always] [--threshold R] [--depth 0..4]\n\
-                        [--proactive] [--json FILE]\n\
+                        [--interarrival NS] [--exec NS] [--proactive] [--json FILE]\n\
                                                             dynamic layout sim, defrag vs baseline;\n\
                                                             --depth N plans multi-move sequences,\n\
                                                             --proactive repairs in ICAP idle windows\n\
@@ -57,8 +66,9 @@ fn main() -> ExitCode {
                  bench-service [--requests R]               warm-memo replay: sharded engine vs the\n\
                                                             frozen RwLock baseline\n\
                  bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]\n\
-                                [--workers W|W1,W2,...] [--queue-depth Q] [--seed S]\n\
-                                [--json FILE] [--metrics FILE]\n\
+                                [--scale K] [--prrs P] [--workers W|W1,W2,...]\n\
+                                [--queue-depth Q] [--seed S] [--interarrival NS]\n\
+                                [--exec NS] [--json FILE] [--metrics FILE]\n\
                                                             stream N tasks through synth -> plan ->\n\
                                                             place -> bitstream -> simulate; a comma\n\
                                                             list of workers sweeps the scaling table;\n\
@@ -67,7 +77,9 @@ fn main() -> ExitCode {
                               [--admission-sets K] [--slack F] [--json FILE]\n\
                                                             scheduler zoo x workload classes x defrag\n\
                                                             policies + admission tests on a mixed PRR\n\
-                                                            pool; writes results/BENCH_sched.json"
+                                                            pool; writes results/BENCH_sched.json\n\
+                 \n\
+                 unknown flags, flags without a value and unparsable values are errors"
             );
             return ExitCode::from(2);
         }
@@ -83,7 +95,8 @@ fn main() -> ExitCode {
 
 type AnyError = Box<dyn std::error::Error>;
 
-fn cmd_devices() -> Result<(), AnyError> {
+fn cmd_devices(args: &[String]) -> Result<(), AnyError> {
+    Flags::parse(args, 0, &[], &[])?;
     println!(
         "{:<12} {:<10} {:>5} {:>6} {:>6} {:>6} {:>6}",
         "part", "family", "rows", "CLBs", "DSPs", "BRAMs", "full-bitstream B"
@@ -104,19 +117,79 @@ fn cmd_devices() -> Result<(), AnyError> {
     Ok(())
 }
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// One command's arguments, checked against what the command accepts:
+/// at most `positionals` bare arguments, `valued` flags that take the
+/// next argument as their value, and standalone `switches`.
+struct Flags<'a> {
+    positional: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
-fn load_report(args: &[String], family: Family) -> Result<SynthReport, AnyError> {
-    if let Some(path) = flag(args, "--syr") {
+impl<'a> Flags<'a> {
+    fn parse(
+        args: &'a [String],
+        positionals: usize,
+        valued: &[&str],
+        switches: &[&str],
+    ) -> Result<Self, AnyError> {
+        let mut flags = Flags {
+            positional: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if valued.contains(&arg) {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => flags.values.push((arg, value)),
+                    _ => return Err(format!("{arg} needs a value").into()),
+                }
+            } else if switches.contains(&arg) {
+                flags.switches.push(arg);
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag {arg}").into());
+            } else if flags.positional.len() < positionals {
+                flags.positional.push(arg);
+            } else {
+                return Err(format!("unexpected argument {arg:?}").into());
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The value of the first `name` flag, if given.
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .map(|&(_, value)| value)
+    }
+
+    /// Whether the `name` switch was given.
+    fn has(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+
+    /// The `name` flag parsed as a `T`, or `default` when absent.
+    fn num<T: FromStr>(&self, name: &str, default: T) -> Result<T, AnyError>
+    where
+        T::Err: Display,
+    {
+        self.get(name).map_or(Ok(default), |value| {
+            value
+                .parse()
+                .map_err(|e| format!("bad {name}: {value:?}: {e}").into())
+        })
+    }
+}
+
+fn load_report(flags: &Flags, family: Family) -> Result<SynthReport, AnyError> {
+    if let Some(path) = flags.get("--syr") {
         let text = std::fs::read_to_string(path)?;
         return Ok(synth::xst::parse_report(&text)?);
     }
-    if let Some(name) = flag(args, "--prm") {
+    if let Some(name) = flags.get("--prm") {
         let prm = match name.to_ascii_lowercase().as_str() {
             "fir" => PaperPrm::Fir,
             "mips" => PaperPrm::Mips,
@@ -129,9 +202,15 @@ fn load_report(args: &[String], family: Family) -> Result<SynthReport, AnyError>
 }
 
 fn cmd_plan(args: &[String], with_bitstream: bool) -> Result<(), AnyError> {
-    let device_name = args.first().ok_or("missing <device>")?;
+    let valued: &[&str] = if with_bitstream {
+        &["--syr", "--prm", "-o"]
+    } else {
+        &["--syr", "--prm"]
+    };
+    let flags = Flags::parse(args, 1, valued, &[])?;
+    let device_name = flags.positional.first().ok_or("missing <device>")?;
     let device = fabric::device_by_name(device_name)?;
-    let report = load_report(args, device.family())?;
+    let report = load_report(&flags, device.family())?;
     let eval = prfpga::evaluate_prm(&report, &device)?;
     let o = &eval.plan.organization;
     println!(
@@ -155,7 +234,7 @@ fn cmd_plan(args: &[String], with_bitstream: bool) -> Result<(), AnyError> {
     print!("{}", prcost::datasheet(&eval.plan));
     println!("DMA-ICAP reconfiguration: {:?}", eval.reconfig_time);
     if with_bitstream {
-        let out = flag(args, "-o").unwrap_or("partial.bin");
+        let out = flags.get("-o").unwrap_or("partial.bin");
         std::fs::write(out, eval.bitstream.to_bytes())?;
         println!("wrote {out} ({} bytes)", eval.bitstream.len_bytes());
     }
@@ -163,10 +242,10 @@ fn cmd_plan(args: &[String], with_bitstream: bool) -> Result<(), AnyError> {
 }
 
 fn cmd_dump(args: &[String]) -> Result<(), AnyError> {
-    let path = args.first().ok_or("missing <file>")?;
+    let flags = Flags::parse(args, 1, &[], &[])?;
+    let path = flags.positional.first().ok_or("missing <file>")?;
     let bytes = std::fs::read(path)?;
-    let words = bitstream::PartialBitstream::words_from_bytes(&bytes);
-    let parsed = bitstream::parser::parse_words(&words, false)?;
+    let parsed = bitstream::parse(&bytes, false)?;
     println!(
         "{} words, sync at word {}",
         parsed.total_words, parsed.sync_offset_words
@@ -186,9 +265,10 @@ fn cmd_dump(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_floorplan(args: &[String]) -> Result<(), AnyError> {
-    let device_name = args.first().ok_or("missing <device>")?;
+    let flags = Flags::parse(args, 1, &["--prms"], &[])?;
+    let device_name = flags.positional.first().ok_or("missing <device>")?;
     let device = fabric::device_by_name(device_name)?;
-    let names = flag(args, "--prms").ok_or("need --prms a,b,c")?;
+    let names = flags.get("--prms").ok_or("need --prms a,b,c")?;
     let mut specs = Vec::new();
     for (i, n) in names.split(',').enumerate() {
         let prm = match n.trim().to_ascii_lowercase().as_str() {
@@ -216,6 +296,7 @@ fn cmd_floorplan(args: &[String]) -> Result<(), AnyError> {
 fn cmd_sweep(args: &[String]) -> Result<(), AnyError> {
     use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
 
+    let flags = Flags::parse(args, 0, &["--json", "--metrics"], &[])?;
     let generators: Vec<Box<dyn PrmGenerator + Sync>> = vec![
         Box::new(FirFilter::paper()),
         Box::new(MipsCore::paper()),
@@ -282,11 +363,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), AnyError> {
         c.window_probes, c.distinct_compositions, c.padded_fallbacks,
     );
 
-    if let Some(path) = flag(args, "--json") {
+    if let Some(path) = flags.get("--json") {
         std::fs::write(path, serde_json::to_string_pretty(&run.points)?)?;
         println!("wrote sweep points to {path}");
     }
-    if let Some(path) = flag(args, "--metrics") {
+    if let Some(path) = flags.get("--metrics") {
         std::fs::write(path, serde_json::to_string_pretty(&run.metrics)?)?;
         println!("wrote metrics snapshot to {path}");
     }
@@ -296,30 +377,41 @@ fn cmd_sweep(args: &[String]) -> Result<(), AnyError> {
 fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
     use prfpga::layout::{simulate_layout, DefragPolicy, LayoutConfig, LayoutReport};
 
-    let device = fabric::device_by_name(flag(args, "--device").unwrap_or("xc5vlx110t"))?;
-    let num = |name: &str, default: u64| -> u64 {
-        flag(args, name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let seed = num("--seed", 12);
-    let tasks = num("--tasks", 200) as u32;
-    let modules = num("--modules", 16) as u32;
-    let scale = num("--scale", 1500) as u32;
-    let ratio: f64 = flag(args, "--threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
-    let policy = match flag(args, "--policy").unwrap_or("always") {
+    let flags = Flags::parse(
+        args,
+        0,
+        &[
+            "--device",
+            "--seed",
+            "--tasks",
+            "--modules",
+            "--scale",
+            "--threshold",
+            "--policy",
+            "--depth",
+            "--interarrival",
+            "--exec",
+            "--json",
+        ],
+        &["--proactive"],
+    )?;
+    let device = fabric::device_by_name(flags.get("--device").unwrap_or("xc5vlx110t"))?;
+    let seed = flags.num("--seed", 12)?;
+    let tasks = flags.num("--tasks", 200)?;
+    let modules = flags.num("--modules", 16)?;
+    let scale = flags.num("--scale", 1500)?;
+    let ratio = flags.num("--threshold", 1.0)?;
+    let policy = match flags.get("--policy").unwrap_or("always") {
         "never" => DefragPolicy::Never,
         "threshold" => DefragPolicy::Threshold(ratio),
         "always" => DefragPolicy::Always,
         other => return Err(format!("unknown policy `{other}` (never|threshold|always)").into()),
     };
-    let depth = num("--depth", 0) as u32;
+    let depth = flags.num("--depth", 0)?;
     if depth > 4 {
         return Err("--depth must be 0 (single-step) to 4".into());
     }
-    let proactive = args.iter().any(|a| a == "--proactive");
+    let proactive = flags.has("--proactive");
 
     let workload = Workload::generate_heavy_tailed(
         seed,
@@ -327,8 +419,8 @@ fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
         tasks,
         modules,
         scale,
-        num("--interarrival", 40_000),
-        num("--exec", 400_000),
+        flags.num("--interarrival", 40_000)?,
+        flags.num("--exec", 400_000)?,
     );
     let run = |policy, depth, proactive| {
         simulate_layout(
@@ -377,7 +469,7 @@ fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
         report.context_bytes,
     );
 
-    if let Some(path) = flag(args, "--json") {
+    if let Some(path) = flags.get("--json") {
         #[derive(serde::Serialize)]
         struct DefragRun {
             device: String,
@@ -400,25 +492,26 @@ fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
-    let device_name = args.first().ok_or("missing <device>")?;
+    let flags = Flags::parse(
+        args,
+        1,
+        &["--trace", "--prrs", "--clb", "--dsp", "--bram", "--height"],
+        &["--preemptive"],
+    )?;
+    let device_name = flags.positional.first().ok_or("missing <device>")?;
     let device = fabric::device_by_name(device_name)?;
-    let trace_path = flag(args, "--trace").ok_or("need --trace <file>")?;
+    let trace_path = flags.get("--trace").ok_or("need --trace <file>")?;
     let text = std::fs::read_to_string(trace_path)?;
     let tasks = multitask::parse_trace(&text)?;
 
-    let num = |name: &str, default: u32| -> u32 {
-        flag(args, name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
     let org = PrrOrganization {
         family: device.family(),
-        height: num("--height", 1),
-        clb_cols: num("--clb", 4),
-        dsp_cols: num("--dsp", 0),
-        bram_cols: num("--bram", 0),
+        height: flags.num("--height", 1)?,
+        clb_cols: flags.num("--clb", 4)?,
+        dsp_cols: flags.num("--dsp", 0)?,
+        bram_cols: flags.num("--bram", 0)?,
     };
-    let system = PrSystem::homogeneous(&device, org, num("--prrs", 2), IcapModel::V5_DMA)?;
+    let system = PrSystem::homogeneous(&device, org, flags.num("--prrs", 2)?, IcapModel::V5_DMA)?;
     println!(
         "{} tasks on {} PRRs (H={} W={}, {} B bitstream each)",
         tasks.len(),
@@ -428,7 +521,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
         system.prrs[0].bitstream_bytes
     );
 
-    if args.iter().any(|a| a == "--preemptive") {
+    if flags.has("--preemptive") {
         let r = multitask::simulate_preemptive(&system, &tasks);
         println!(
             "preemptive: {} completed, makespan {:.3} ms, {} preemptions, \
@@ -479,20 +572,28 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     use std::sync::Arc;
     use synth::GenericPrm;
 
-    let num = |name: &str, default: u64| -> Result<u64, AnyError> {
-        flag(args, name)
-            .map(str::parse::<u64>)
-            .transpose()
-            .map_err(|e| format!("bad {name}: {e}").into())
-            .map(|v| v.unwrap_or(default))
-    };
-    let workers = num("--workers", 4)? as usize;
-    let requests = num("--requests", 5_000)? as usize;
-    let tenants = num("--tenants", 3)?.max(1) as usize;
-    let modules = num("--modules", 12)?.max(1);
-    let seed = num("--seed", 7)?;
-    let scale = num("--scale", 1_200)? as u32;
-    let state_path = flag(args, "--state");
+    let flags = Flags::parse(
+        args,
+        0,
+        &[
+            "--workers",
+            "--requests",
+            "--tenants",
+            "--modules",
+            "--seed",
+            "--scale",
+            "--state",
+            "--metrics",
+        ],
+        &[],
+    )?;
+    let workers = flags.num("--workers", 4)?;
+    let requests = flags.num("--requests", 5_000)?;
+    let tenants = flags.num("--tenants", 3)?.max(1);
+    let modules = flags.num("--modules", 12)?.max(1);
+    let seed = flags.num("--seed", 7)?;
+    let scale = flags.num("--scale", 1_200)?;
+    let state_path = flags.get("--state");
 
     let engine = match state_path {
         Some(path) if std::path::Path::new(path).exists() => {
@@ -580,7 +681,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
             engine.plan_memo_len()
         );
     }
-    if let Some(path) = flag(args, "--metrics") {
+    if let Some(path) = flags.get("--metrics") {
         std::fs::write(path, serde_json::to_string_pretty(&snapshot)?)?;
         println!("wrote metrics snapshot to {path}");
     }
@@ -594,11 +695,8 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
 fn cmd_bench_service(args: &[String]) -> Result<(), AnyError> {
     use prcost::engine::reference::ReferenceEngine;
 
-    let requests: usize = flag(args, "--requests")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| format!("bad --requests: {e}"))?
-        .unwrap_or(200_000);
+    let flags = Flags::parse(args, 0, &["--requests"], &[])?;
+    let requests: usize = flags.num("--requests", 200_000)?;
 
     use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
     let generators: Vec<Box<dyn PrmGenerator>> = vec![
@@ -669,47 +767,59 @@ fn cmd_bench_service(args: &[String]) -> Result<(), AnyError> {
 fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
     use prfpga::pipeline::{run_pipeline, run_pipeline_sweep, PipelineConfig};
 
-    let num = |name: &str, default: u64| -> Result<u64, AnyError> {
-        flag(args, name)
-            .map(str::parse::<u64>)
-            .transpose()
-            .map_err(|e| format!("bad {name}: {e}").into())
-            .map(|v| v.unwrap_or(default))
-    };
+    let flags = Flags::parse(
+        args,
+        0,
+        &[
+            "--device",
+            "--tasks",
+            "--chunk",
+            "--modules",
+            "--scale",
+            "--prrs",
+            "--workers",
+            "--queue-depth",
+            "--seed",
+            "--interarrival",
+            "--exec",
+            "--json",
+            "--metrics",
+        ],
+        &[],
+    )?;
     let defaults = PipelineConfig::default();
 
     // `--workers` accepts either a single count ("4") or a comma list
     // ("1,2,4,8,16"); the list form reruns the whole pipeline once per
-    // count and records the scaling table in the report.
-    let worker_sweep: Vec<usize> = match flag(args, "--workers") {
+    // count and records the scaling table in the report. Without it the
+    // pipeline picks its own worker count.
+    let worker_sweep: Vec<usize> = match flags.get("--workers") {
         None => vec![defaults.workers],
         Some(spec) => spec
             .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --workers entry {s:?}: {e}"))
+            .map(|s| match s.trim().parse::<usize>() {
+                Ok(0) => Err("--workers needs nonzero counts".to_string()),
+                Ok(n) => Ok(n),
+                Err(e) => Err(format!("bad --workers entry {s:?}: {e}")),
             })
             .collect::<Result<_, _>>()?,
     };
-    if worker_sweep.is_empty() || worker_sweep.contains(&0) {
-        return Err("--workers needs one or more nonzero counts".into());
-    }
 
     let cfg = PipelineConfig {
-        device: flag(args, "--device")
+        device: flags
+            .get("--device")
             .unwrap_or(&defaults.device)
             .to_string(),
-        tasks: num("--tasks", defaults.tasks)?,
-        chunk: num("--chunk", u64::from(defaults.chunk))? as u32,
-        modules: num("--modules", u64::from(defaults.modules))? as u32,
-        scale: num("--scale", u64::from(defaults.scale))? as u32,
-        prrs: num("--prrs", u64::from(defaults.prrs))? as u32,
+        tasks: flags.num("--tasks", defaults.tasks)?,
+        chunk: flags.num("--chunk", defaults.chunk)?,
+        modules: flags.num("--modules", defaults.modules)?,
+        scale: flags.num("--scale", defaults.scale)?,
+        prrs: flags.num("--prrs", defaults.prrs)?,
         workers: worker_sweep[0],
-        queue_depth: num("--queue-depth", defaults.queue_depth as u64)? as usize,
-        seed: num("--seed", defaults.seed)?,
-        mean_interarrival_ns: num("--interarrival", defaults.mean_interarrival_ns)?,
-        mean_exec_ns: num("--exec", defaults.mean_exec_ns)?,
+        queue_depth: flags.num("--queue-depth", defaults.queue_depth)?,
+        seed: flags.num("--seed", defaults.seed)?,
+        mean_interarrival_ns: flags.num("--interarrival", defaults.mean_interarrival_ns)?,
+        mean_exec_ns: flags.num("--exec", defaults.mean_exec_ns)?,
     };
 
     let report = if worker_sweep.len() > 1 {
@@ -787,7 +897,7 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
     // Same artifact convention as `bench::write_json` (the prfpga crate
     // does not depend on `bench`): `results/` at the workspace root,
     // overridable with PRFPGA_RESULTS_DIR or an explicit --json path.
-    let path = match flag(args, "--json") {
+    let path = match flags.get("--json") {
         Some(p) => std::path::PathBuf::from(p),
         None => {
             let dir = std::env::var("PRFPGA_RESULTS_DIR")
@@ -805,7 +915,7 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
     // `--metrics FILE`: a compact operational snapshot (dispatch paths,
     // throughput, scaling rows) for dashboards that don't want the full
     // per-stage report written by `--json`.
-    if let Some(mpath) = flag(args, "--metrics") {
+    if let Some(mpath) = flags.get("--metrics") {
         // Owned fields: the vendored serde derive does not support
         // generic (lifetime-parameterized) types.
         #[derive(serde::Serialize)]
@@ -838,21 +948,28 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
 fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
     use prfpga::sched::{run_ablation, AblationConfig};
 
-    let num = |name: &str, default: u64| -> u64 {
-        flag(args, name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
+    let flags = Flags::parse(
+        args,
+        0,
+        &[
+            "--seed",
+            "--tasks",
+            "--horizon-ms",
+            "--episodes",
+            "--slack",
+            "--admission-sets",
+            "--json",
+        ],
+        &[],
+    )?;
     let defaults = AblationConfig::default();
     let cfg = AblationConfig {
-        seed: num("--seed", defaults.seed),
-        tasks: num("--tasks", u64::from(defaults.tasks)) as u32,
-        horizon_ms: num("--horizon-ms", defaults.horizon_ms),
-        train_episodes: num("--episodes", u64::from(defaults.train_episodes)) as u32,
-        deadline_slack: flag(args, "--slack")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.deadline_slack),
-        admission_sets: num("--admission-sets", u64::from(defaults.admission_sets)) as u32,
+        seed: flags.num("--seed", defaults.seed)?,
+        tasks: flags.num("--tasks", defaults.tasks)?,
+        horizon_ms: flags.num("--horizon-ms", defaults.horizon_ms)?,
+        train_episodes: flags.num("--episodes", defaults.train_episodes)?,
+        deadline_slack: flags.num("--slack", defaults.deadline_slack)?,
+        admission_sets: flags.num("--admission-sets", defaults.admission_sets)?,
     };
     let report = run_ablation(&cfg);
 
@@ -921,7 +1038,7 @@ fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
     );
 
     // Same artifact convention as bench-pipeline above.
-    let path = match flag(args, "--json") {
+    let path = match flags.get("--json") {
         Some(p) => std::path::PathBuf::from(p),
         None => {
             let dir = std::env::var("PRFPGA_RESULTS_DIR")

@@ -117,7 +117,7 @@ pub struct PipelineReport {
     /// per-run measurement.
     pub peak_rss_bytes: u64,
     /// Active CRC kernel path chosen by `bitstream::arch` runtime
-    /// dispatch (e.g. `clmul-fold`, `hw-crc32c`, `portable-folded`).
+    /// dispatch (`clmul-fold` or `portable-folded`).
     pub crc_dispatch: String,
     /// Active payload-fill kernel path (e.g. `avx2-splitmix`).
     pub fill_dispatch: String,
