@@ -14,7 +14,8 @@
 //!   [`ServiceConfig::batch_size`] jobs per queue-lock acquisition, so the
 //!   queue lock is touched once per batch rather than once per job, and
 //!   per-tenant metrics are flushed once per batch rather than once per
-//!   plan.
+//!   plan. The flush follows the batch's last ticket, so a caller that
+//!   needs exact tallies reads them after [`PlanService::shutdown`].
 //! * **Tickets, sync or async** — a [`PlanTicket`] is both a blocking
 //!   handle ([`PlanTicket::wait`]) and a [`Future`], so the service drops
 //!   into an async executor unchanged; no runtime is required (or used)
@@ -426,6 +427,7 @@ mod tests {
             let direct = plan_prr_from_requirements(&r, &v5);
             assert_eq!(*via_service, direct, "{r:?}");
         }
+        service.shutdown();
         let snap = service.engine().snapshot();
         assert_eq!(snap.labeled_value("tenant:alice"), 40);
         assert_eq!(snap.labeled_value("service:submitted"), 40);
@@ -434,12 +436,11 @@ mod tests {
             .stages
             .iter()
             .any(|s| s.name == "service" && s.count == 40));
-        service.shutdown();
     }
 
     #[test]
     fn tenants_are_tallied_separately() {
-        let service = PlanService::new(ServiceConfig::default());
+        let mut service = PlanService::new(ServiceConfig::default());
         let v6 = xc6vlx75t();
         let mut tickets = Vec::new();
         for n in 0..6 {
@@ -459,10 +460,15 @@ mod tests {
         for t in tickets {
             t.wait();
         }
+        // A worker flushes its tenant tallies after the batch's tickets
+        // resolve; joining the workers makes every flush visible.
+        service.shutdown();
         let snap = service.engine().snapshot();
         assert_eq!(snap.labeled_value("tenant:alice"), 6);
         assert_eq!(snap.labeled_value("tenant:bob"), 3);
-        // Bob's three points repeat Alice's: served from the shared memo.
+        // Bob's three points repeat Alice's: served from the shared memo
+        // (a build that loses the insertion race to Alice's counts as a
+        // hit, so the counts are exact even when both run at once).
         assert_eq!(snap.counters.plan_cache_hits, 3);
         assert_eq!(snap.counters.plan_builds, 6);
     }
@@ -488,6 +494,7 @@ mod tests {
         for t in &admitted {
             t.wait();
         }
+        service.shutdown();
         // Everything admitted completed; the rest was refused, not lost.
         assert_eq!(
             service
@@ -499,7 +506,6 @@ mod tests {
         // With a 2-deep queue and 200 rapid submissions, some must have
         // been refused (the blocking path is covered by the stress suite).
         assert!(refused > 0, "queue never filled");
-        service.shutdown();
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `defrag2`: parallel bounded-depth branch-and-bound over relocation
-//! *sequences* — the multi-move defragmentation planner.
+//! `defrag2`: bounded-depth branch-and-bound over relocation *sequences*
+//! — the multi-move defragmentation planner.
 //!
 //! The PR-5 planner ([`crate::defrag`]) only considers *single-step*
 //! relocation sets: every target must be free before the plan runs. Van
@@ -25,15 +25,15 @@
 //!   it lands. Every blocker of an admit rectangle must move exactly
 //!   once, so a rectangle's whole-sequence cost is known *before* the
 //!   search: the suffix lower bound is exact, and branch-and-bound
-//!   collapses to pruning entire rectangles against the incumbent plus a
-//!   feasibility-only descent inside each rectangle;
-//! * **first-level rayon fan-out with a packed atomic incumbent** — the
-//!   candidate admit rectangles fan out over rayon, sharing the best
-//!   known `(cost, moves, rectangle index)` packed into one `AtomicU64`
-//!   ([`pack_bound`], the PR-3 trick). Workers prune with `>=` against
-//!   the bound; packs are unique per rectangle, so the depth-first
-//!   reduction reproduces the serial tie-break exactly
-//!   ([`plan_serial`] is the identity oracle).
+//!   collapses to ordering whole rectangles plus a feasibility-only
+//!   descent inside each rectangle;
+//! * **best-first rectangle order** — [`plan`] sorts the candidate admit
+//!   rectangles by `(cost, moves)` (a stable sort, so enumeration order
+//!   breaks ties) and runs the descent on each in that order, returning
+//!   the first that succeeds. No later rectangle can beat it, so every
+//!   rectangle after the winner is skipped. The search is serial and
+//!   deterministic: the plan, `nodes` included, is a function of the
+//!   layout and the config alone.
 //!
 //! **Documented tie-break**: minimise total move cost (ns), then move
 //! count, then the admit-rectangle enumeration order (candidate starts
@@ -53,10 +53,8 @@ use crate::free::FreeSpace;
 use crate::manager::{Allocation, LayoutManager, MoveCost};
 use fabric::{splitmix64, ColumnKind, Window};
 use prcost::{Metrics, PrrOrganization};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Hard cap on sequence depth (the paper-scale regime; deeper searches
@@ -73,10 +71,11 @@ pub struct Defrag2Config {
     /// move pays context save + restore bytes on top of the bitstream
     /// write. `false` prices write-only (idle modules).
     pub context_aware: bool,
-    /// Deterministic per-rectangle node budget: a rectangle whose
-    /// feasibility descent exceeds it is abandoned (same outcome serial
-    /// or parallel). The default is far above anything the depth-capped
-    /// tree reaches on real devices.
+    /// Node budget of each rectangle's feasibility descent: every
+    /// candidate rectangle gets its own budget, and one whose descent
+    /// exhausts it counts as infeasible, so a rectangle's verdict never
+    /// depends on the rectangles tried before it. The default is far
+    /// above anything the depth-capped tree reaches on real devices.
     pub node_budget: u64,
 }
 
@@ -106,7 +105,8 @@ pub struct Defrag2Plan {
     pub total_move_bytes: u64,
     /// Context save + restore bytes included in `total_move_bytes`.
     pub total_context_bytes: u64,
-    /// Search nodes expanded (diagnostic).
+    /// Search nodes expanded over every rectangle tried (diagnostic,
+    /// deterministic).
     pub nodes: u64,
 }
 
@@ -248,15 +248,15 @@ fn targets_into(
     }
 }
 
+/// A complete move sequence: `(mover index, target start col, target row)`
+/// per move, in execution order.
+type Seq = Vec<(usize, usize, u32)>;
+
 /// Depth-first feasibility descent inside one rectangle: find the first
 /// (in canonical order) sequence of single moves taking every mover out
 /// of the admit rectangle. The visited set prunes permuted move orders
 /// reaching the same layout; a pruned layout was fully explored and
 /// failed, so skipping it never changes the first success.
-/// A complete move sequence: `(mover index, target start col, target row)`
-/// per move, in execution order.
-type Seq = Vec<(usize, usize, u32)>;
-
 #[allow(clippy::too_many_arguments)]
 fn descend(
     columns: &[ColumnKind],
@@ -363,51 +363,34 @@ fn rect_candidates<'a>(
     rects
 }
 
-/// Bits for the move count and rectangle index in the packed bound.
-const MOVES_BITS: u32 = 4;
-const RECT_BITS: u32 = 20;
-
-/// Pack an incumbent `(cost, moves, rectangle index)` into one `u64`,
-/// ordered lexicographically. Packs are unique per rectangle, so `>=`
-/// pruning against the shared bound can never cut the rectangle the
-/// serial scan would have kept (same trick as `parflow::pack_bound`,
-/// with the branch index extended by the move count).
-fn pack_bound(cost: u64, moves: usize, rect: usize) -> u64 {
-    debug_assert!(cost < 1 << (u64::BITS - MOVES_BITS - RECT_BITS));
-    debug_assert!(moves < 1 << MOVES_BITS);
-    debug_assert!(rect < 1 << RECT_BITS);
-    (cost << (MOVES_BITS + RECT_BITS)) | ((moves as u64) << RECT_BITS) | rect as u64
-}
-
-/// Run the feasibility descent for one rectangle; returns the canonical
+/// Run the feasibility descent for one rectangle under its own node
+/// budget, adding the nodes it expands to `nodes`; returns the canonical
 /// first sequence if one exists.
 fn solve_rect(
-    columns: &[ColumnKind],
-    rows: u32,
-    free: &FreeSpace,
+    mgr: &LayoutManager,
     rect: &RectCand<'_>,
     budget: u64,
     nodes: &mut u64,
 ) -> Option<Seq> {
+    let free = mgr.free_space();
     let mut state = LayoutState::new(free, &rect.movers);
     let mut visited = HashSet::new();
     let mut seq = Vec::with_capacity(rect.movers.len());
-    if descend(
-        columns,
-        rows,
+    let mut rect_nodes = 0u64;
+    let found = descend(
+        mgr.device().columns(),
+        free.rows(),
         &rect.admit,
         &rect.movers,
         &mut state,
         &mut visited,
         0,
         &mut seq,
-        nodes,
+        &mut rect_nodes,
         budget,
-    ) {
-        Some(seq)
-    } else {
-        None
-    }
+    );
+    *nodes += rect_nodes;
+    found.then_some(seq)
 }
 
 /// Materialise the winning rectangle + sequence into a plan.
@@ -458,102 +441,26 @@ fn materialize(
     }
 }
 
-/// Serial bounded-depth multi-move search: rectangles in enumeration
-/// order, incumbent pruning on `(cost, moves, index)`. The parallel
-/// search is property-tested identical to this.
-pub fn plan_serial(
-    mgr: &LayoutManager,
-    org: &PrrOrganization,
-    config: &Defrag2Config,
-) -> Option<Defrag2Plan> {
-    let depth = config.depth.min(MAX_DEPTH) as usize;
-    if config.depth == 0 {
-        return None;
-    }
-    let rects = rect_candidates(mgr, org, depth, config.context_aware);
-    let columns = mgr.device().columns();
-    let free = mgr.free_space();
-    let mut nodes = 0u64;
-    let mut best: Option<(u64, usize, usize, Seq)> = None;
-    for (idx, rect) in rects.iter().enumerate() {
-        if let Some((bc, bm, _, _)) = &best {
-            if (rect.cost, rect.movers.len()) >= (*bc, *bm) {
-                continue;
-            }
-        }
-        if let Some(seq) = solve_rect(
-            columns,
-            free.rows(),
-            free,
-            rect,
-            config.node_budget,
-            &mut nodes,
-        ) {
-            best = Some((rect.cost, rect.movers.len(), idx, seq));
-        }
-    }
-    best.map(|(_, _, idx, seq)| materialize(mgr, &rects[idx], &seq, nodes))
-}
-
-/// Parallel bounded-depth multi-move search: first-level rayon fan-out
-/// over the candidate admit rectangles with the incumbent shared through
-/// a packed `AtomicU64`. Identical result to [`plan_serial`] (packs are
-/// unique per rectangle, so the reduction has no ties to break).
+/// Bounded-depth multi-move search, best-first: candidate rectangles in
+/// `(cost, moves, enumeration index)` order, each descended under its own
+/// `node_budget`; the first feasible rectangle is the plan. Rectangle
+/// costs are exact before the descent, so no rectangle after it can win.
 pub fn plan(
     mgr: &LayoutManager,
     org: &PrrOrganization,
     config: &Defrag2Config,
 ) -> Option<Defrag2Plan> {
-    let depth = config.depth.min(MAX_DEPTH) as usize;
     if config.depth == 0 {
         return None;
     }
-    let rects = rect_candidates(mgr, org, depth, config.context_aware);
-    if rects.len() >= 1 << RECT_BITS
-        || rects
-            .iter()
-            .any(|r| r.cost >= 1 << (u64::BITS - MOVES_BITS - RECT_BITS))
-    {
-        // Too wide/expensive for the packed bound (never seen on real
-        // devices) — the serial scan is the defined behaviour anyway.
-        return plan_serial(mgr, org, config);
-    }
-    let columns = mgr.device().columns();
-    let free = mgr.free_space();
-    let bound = AtomicU64::new(u64::MAX);
-    let total_nodes = AtomicU64::new(0);
-    let solved: Vec<Option<(usize, Seq)>> = rects
-        .par_iter()
-        .enumerate()
-        .map(|(idx, rect)| {
-            let lb = pack_bound(rect.cost, rect.movers.len(), idx);
-            if lb >= bound.load(Ordering::Relaxed) {
-                return None;
-            }
-            let mut nodes = 0u64;
-            let seq = solve_rect(
-                columns,
-                free.rows(),
-                free,
-                rect,
-                config.node_budget,
-                &mut nodes,
-            );
-            total_nodes.fetch_add(nodes, Ordering::Relaxed);
-            seq.map(|s| {
-                bound.fetch_min(lb, Ordering::Relaxed);
-                (idx, s)
-            })
-        })
-        .collect();
-    // The globally best rectangle can never be pruned (pruning needs a
-    // strictly smaller completed pack), so the minimum over whatever ran
-    // is deterministic.
-    let best = solved
-        .into_iter()
-        .flatten()
-        .min_by_key(|(idx, seq)| pack_bound(rects[*idx].cost, seq.len(), *idx));
-    best.map(|(idx, seq)| materialize(mgr, &rects[idx], &seq, total_nodes.load(Ordering::Relaxed)))
+    let depth = config.depth.min(MAX_DEPTH) as usize;
+    let mut rects = rect_candidates(mgr, org, depth, config.context_aware);
+    rects.sort_by_key(|r| (r.cost, r.movers.len()));
+    let mut nodes = 0u64;
+    let (rect, seq) = rects.iter().find_map(|rect| {
+        solve_rect(mgr, rect, config.node_budget, &mut nodes).map(|seq| (rect, seq))
+    })?;
+    Some(materialize(mgr, rect, &seq, nodes))
 }
 
 impl LayoutManager {
@@ -607,12 +514,11 @@ pub mod reference {
     //! the *specification* of the plan space and tie-break, kept naive
     //! on purpose: occupancy-grid state ([`NaiveFreeSpace`]), full
     //! enumeration of every sequence (no transposition table, no lower
-    //! bounds, no incumbent pruning across rectangles beyond strict
-    //! improvement, no parallelism), per-sequence cost summation (it
-    //! does not assume position-independent move costs — it verifies
-    //! them). Do not optimize; the equivalence property suite pins
-    //! [`super::plan`] and [`super::plan_serial`] against it at small
-    //! depths.
+    //! bounds, no ordering of rectangles, no pruning across rectangles
+    //! beyond strict improvement), per-sequence cost summation (it does
+    //! not assume position-independent move costs — it verifies them).
+    //! Do not optimize; the equivalence property suite pins
+    //! [`super::plan`] against it at small depths.
 
     use super::{Defrag2Config, Defrag2Plan, MAX_DEPTH};
     use crate::defrag::{overlaps, RelocationMove};

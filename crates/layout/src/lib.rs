@@ -17,7 +17,7 @@
 //! * [`DefragPolicy`]/[`DefragPlan`] — minimal relocation plans among
 //!   `bitstream::relocate`-compatible windows, priced through
 //!   [`bitstream::IcapModel::transfer_time`] ([`defrag`]);
-//! * [`Defrag2Config`]/[`Defrag2Plan`] — parallel bounded-depth
+//! * [`Defrag2Config`]/[`Defrag2Plan`] — best-first bounded-depth
 //!   branch-and-bound over multi-move relocation *sequences* with
 //!   incremental layout state and preemption-aware pricing
 //!   ([`defrag2`]);
