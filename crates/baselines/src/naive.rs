@@ -69,8 +69,10 @@ pub fn naive_plan(
     let feasible = |h: u32| -> Option<PrrOrganization> {
         match PrrOrganization::for_height(req, h, single_dsp) {
             Ok(org) if device.has_window(&org.window_request()) => Some(org),
-            Ok(_) | Err(OrganizationError::SingleDspColumnNeedsRows { .. }) => None,
-            Err(OrganizationError::EmptyRequirements) => None,
+            Ok(_)
+            | Err(OrganizationError::SingleDspColumnNeedsRows { .. })
+            | Err(OrganizationError::CountOverflow)
+            | Err(OrganizationError::EmptyRequirements) => None,
         }
     };
 

@@ -3,9 +3,9 @@
 //!
 //! *Churn*: a fixed, seeded allocate/release sequence (place a random
 //! CLB/DSP/BRAM window request, or free a random live window) driven
-//! against [`layout::FreeSpace`] (per-row maximal free runs +
-//! composition-indexed candidate starts, incremental maintenance) and
-//! against the brute-force occupancy grid [`layout::NaiveFreeSpace`]
+//! against [`layout::FreeSpace`] (one occupancy bitmask per fabric row,
+//! candidate starts from per-kind column prefix counts) and against the
+//! brute-force occupancy grid [`layout::NaiveFreeSpace`]
 //! (the test oracle: O(width × rows) scans per query). Both structures
 //! see the byte-identical op sequence, so the placements coincide and
 //! only the data-structure cost differs.
@@ -57,7 +57,7 @@ fn churn_ops(device: &Device, n: usize, seed: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Drive `ops` against the incremental run tracker. Returns placements
+/// Drive `ops` against the row-mask tracker. Returns placements
 /// made (a checksum that also keeps the work from being optimized out).
 fn churn_fast(device: &Device, ops: &[Op]) -> usize {
     let mut fs = FreeSpace::new(device);
@@ -120,7 +120,7 @@ fn bench_layout(c: &mut Criterion) {
     assert_eq!(churn_fast(&device, &ops), churn_naive(&device, &ops));
 
     let mut g = c.benchmark_group("layout");
-    g.bench_function("churn_runs_lx110t", |b| {
+    g.bench_function("churn_masks_lx110t", |b| {
         b.iter(|| churn_fast(&device, black_box(&ops)))
     });
     g.bench_function("churn_naive_lx110t", |b| {
@@ -163,9 +163,9 @@ struct LayoutBenchArtifact {
     churn_ops: usize,
     churn_placements: usize,
     samples: u32,
-    runs_mean_ms: f64,
+    masks_mean_ms: f64,
     naive_mean_ms: f64,
-    /// Headline figure: free-run tracking over the occupancy-grid oracle
+    /// Headline figure: row-mask tracking over the occupancy-grid oracle
     /// on the churn workload.
     churn_speedup: f64,
     workload_tasks: usize,
@@ -189,7 +189,7 @@ fn emit_artifact() {
         }
         start.elapsed().as_secs_f64() / f64::from(samples)
     };
-    let runs_mean = time(&|| churn_fast(&device, &ops));
+    let masks_mean = time(&|| churn_fast(&device, &ops));
     let naive_mean = time(&|| churn_naive(&device, &ops));
 
     let workload = pinned_workload(&device);
@@ -228,16 +228,16 @@ fn emit_artifact() {
         churn_ops: ops.len(),
         churn_placements: placements,
         samples,
-        runs_mean_ms: runs_mean * 1e3,
+        masks_mean_ms: masks_mean * 1e3,
         naive_mean_ms: naive_mean * 1e3,
-        churn_speedup: naive_mean / runs_mean,
+        churn_speedup: naive_mean / masks_mean,
         workload_tasks: workload.tasks.len(),
         policy_table,
     };
     println!(
-        "churn on {}: runs {:.3} ms, naive {:.3} ms ({:.1}x; {} ops, {} placements)",
+        "churn on {}: masks {:.3} ms, naive {:.3} ms ({:.1}x; {} ops, {} placements)",
         artifact.device,
-        artifact.runs_mean_ms,
+        artifact.masks_mean_ms,
         artifact.naive_mean_ms,
         artifact.churn_speedup,
         artifact.churn_ops,

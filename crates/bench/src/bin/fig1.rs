@@ -64,6 +64,12 @@ fn main() {
                 "-".into(),
                 "infeasible: no contiguous window".to_string(),
             ),
+            CandidateOutcome::CountOverflow => (
+                "-".into(),
+                "-".into(),
+                "-".into(),
+                "infeasible: column count overflows".to_string(),
+            ),
         };
         rows.push(vec![c.height.to_string(), org, window, bytes, verdict]);
     }

@@ -35,6 +35,10 @@ pub enum OrganizationError {
         /// Minimum height that satisfies `DSP_req` (`H_DSP` of Eq. 4).
         min_height: u32,
     },
+    /// A column count of Eqs. (2)–(5), the Eq. (4) `H_DSP`, or the
+    /// Eq. (6) width `W` does not fit in `u32`: no device has that many
+    /// columns or rows, so the requirement is infeasible at this height.
+    CountOverflow,
 }
 
 impl PrrOrganization {
@@ -54,9 +58,10 @@ impl PrrOrganization {
         }
         let p = req.family.params();
         let hh = u64::from(h);
+        let narrow = |n: u64| u32::try_from(n).map_err(|_| OrganizationError::CountOverflow);
 
         // Eq. (2).
-        let clb_cols = req.clb_req.div_ceil(hh * u64::from(p.clb_col)) as u32;
+        let clb_cols = narrow(req.clb_req.div_ceil(hh * u64::from(p.clb_col)))?;
 
         // Eq. (3) or Eq. (4).
         let dsp_cols = if req.dsp_req == 0 {
@@ -64,17 +69,23 @@ impl PrrOrganization {
         } else if single_dsp_column {
             // Eq. (4): W_DSP = 1; H_DSP = ceil(DSP_req / DSP_col) rows are
             // needed, so heights below H_DSP are infeasible.
-            let min_height = req.dsp_req.div_ceil(u64::from(p.dsp_col)) as u32;
+            let min_height = narrow(req.dsp_req.div_ceil(u64::from(p.dsp_col)))?;
             if h < min_height {
                 return Err(OrganizationError::SingleDspColumnNeedsRows { min_height });
             }
             1
         } else {
-            req.dsp_req.div_ceil(hh * u64::from(p.dsp_col)) as u32
+            narrow(req.dsp_req.div_ceil(hh * u64::from(p.dsp_col)))?
         };
 
         // Eq. (5).
-        let bram_cols = req.bram_req.div_ceil(hh * u64::from(p.bram_col)) as u32;
+        let bram_cols = narrow(req.bram_req.div_ceil(hh * u64::from(p.bram_col)))?;
+
+        // Eq. (6) must fit too: `width()` sums the three counts in `u32`.
+        clb_cols
+            .checked_add(dsp_cols)
+            .and_then(|w| w.checked_add(bram_cols))
+            .ok_or(OrganizationError::CountOverflow)?;
 
         Ok(PrrOrganization {
             family: req.family,
@@ -185,6 +196,39 @@ mod tests {
 
     fn req(prm: PaperPrm, fam: Family) -> PrrRequirements {
         PrrRequirements::from_report(&prm.synth_report(fam))
+    }
+
+    #[test]
+    fn counts_beyond_u32_are_an_error_not_truncated() {
+        let mut r = req(PaperPrm::Fir, Family::Virtex5);
+        r.bram_req = u64::MAX;
+        assert_eq!(
+            PrrOrganization::for_height(&r, 5, false),
+            Err(OrganizationError::CountOverflow)
+        );
+        // Eq. 4: H_DSP itself does not fit in u32.
+        let mut r = req(PaperPrm::Fir, Family::Virtex5);
+        r.dsp_req = u64::MAX;
+        assert_eq!(
+            PrrOrganization::for_height(&r, 5, true),
+            Err(OrganizationError::CountOverflow)
+        );
+        // Each count fits, their Eq. 6 sum does not.
+        let mut r = req(PaperPrm::Fir, Family::Virtex5);
+        let clb_col = u64::from(Family::Virtex5.params().clb_col);
+        let bram_col = u64::from(Family::Virtex5.params().bram_col);
+        r.clb_req = u64::from(u32::MAX) * clb_col;
+        r.bram_req = bram_col;
+        assert_eq!(
+            PrrOrganization::for_height(&r, 1, false),
+            Err(OrganizationError::CountOverflow)
+        );
+        r.bram_req = 0;
+        r.dsp_req = 0;
+        assert_eq!(
+            PrrOrganization::for_height(&r, 1, false).map(|o| o.width()),
+            Ok(u32::MAX)
+        );
     }
 
     #[test]

@@ -162,6 +162,10 @@ pub enum CandidateOutcome {
         /// The organization that failed to place.
         organization: PrrOrganization,
     },
+    /// A column count or the Eq. (4) minimum height does not fit in
+    /// `u32` ([`OrganizationError::CountOverflow`]): no device can host
+    /// the organization at this height.
+    CountOverflow,
 }
 
 /// One row of the Fig. 1 search trace.
@@ -429,6 +433,7 @@ fn evaluate_height_with(
         Err(OrganizationError::SingleDspColumnNeedsRows { min_height }) => {
             CandidateOutcome::DspRowsInsufficient { min_height }
         }
+        Err(OrganizationError::CountOverflow) => CandidateOutcome::CountOverflow,
         Ok(org) => {
             let exact = finder(&org.window_request());
             let placed = match exact {
@@ -470,6 +475,7 @@ fn evaluate_height_cached(
         Err(OrganizationError::SingleDspColumnNeedsRows { min_height }) => {
             CandidateOutcome::DspRowsInsufficient { min_height }
         }
+        Err(OrganizationError::CountOverflow) => CandidateOutcome::CountOverflow,
         Ok(org) => match resolve_composition(&org, device, geometry, scratch) {
             CompResolution::Infeasible => CandidateOutcome::NoWindow { organization: org },
             CompResolution::Exact => {
@@ -756,6 +762,24 @@ mod tests {
     use fabric::database::{xc5vlx110t, xc6vlx75t};
     use fabric::Family;
     use synth::PaperPrm;
+
+    /// A report claiming 2^64 − 1 BRAMs and DSPs cannot be hosted: every
+    /// height's column counts overflow `u32`, so planning fails instead
+    /// of truncating them into a small, "feasible" PRR.
+    #[test]
+    fn saturated_bram_and_dsp_counts_are_infeasible() {
+        let v5 = xc5vlx110t();
+        let mut report = PaperPrm::Fir.synth_report(Family::Virtex5);
+        report.brams = u64::MAX;
+        report.dsps = u64::MAX;
+        let Err(CostError::NoFeasiblePlacement { trace, .. }) = plan_prr(&report, &v5) else {
+            panic!("a saturated report must not plan");
+        };
+        assert!(!trace.candidates.is_empty());
+        for c in &trace.candidates {
+            assert_eq!(c.outcome, CandidateOutcome::CountOverflow, "H={}", c.height);
+        }
+    }
 
     /// The headline Table V reproduction: the search must select exactly
     /// the paper's PRR organization for all six PRM/device pairs.

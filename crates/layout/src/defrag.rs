@@ -17,6 +17,7 @@
 //! [`bitstream::relocate_batch`] enforces. This keeps plans short and
 //! directly executable in any move order.
 
+use crate::free::set_bits;
 use crate::manager::{Allocation, LayoutManager};
 use fabric::Window;
 use prcost::{Metrics, PrrOrganization};
@@ -108,11 +109,7 @@ impl LayoutManager {
             return None;
         }
         let mut best: Option<DefragPlan> = None;
-        let starts: Vec<u32> = free
-            .candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols)
-            .to_vec();
-        for start in starts {
-            let start = start as usize;
+        for start in free.candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols) {
             for row in 1..=free.rows() - org.height + 1 {
                 let admit = Window {
                     start_col: start,
@@ -185,14 +182,13 @@ impl LayoutManager {
         pending: &[RelocationMove],
     ) -> Option<Window> {
         let free = self.free_space();
-        let cols = self.device().columns();
         let bw = blocker.window.columns.len();
         let bh = blocker.window.height;
-        for start in 0..=cols.len().saturating_sub(bw) {
-            if cols[start..start + bw] != blocker.window.columns[..] {
-                continue;
-            }
+        for start in set_bits(&free.compatible_starts(&blocker.window.columns)) {
             for row in 1..=free.rows() - bh + 1 {
+                if !free.is_free(start, bw, row, bh) {
+                    continue;
+                }
                 let target = Window {
                     start_col: start,
                     width: bw as u32,
@@ -206,10 +202,7 @@ impl LayoutManager {
                 if !bitstream::compatible(&blocker.window, &target) {
                     continue;
                 }
-                if !free.is_free(start, bw, row, bh)
-                    || overlaps(&target, admit)
-                    || pending.iter().any(|m| overlaps(&target, &m.to))
-                {
+                if overlaps(&target, admit) || pending.iter().any(|m| overlaps(&target, &m.to)) {
                     continue;
                 }
                 return Some(target);

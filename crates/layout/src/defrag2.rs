@@ -9,9 +9,15 @@
 //! move vacated. This module searches those schedules with the same
 //! machinery that made `parflow::autofloorplan` fast:
 //!
-//! * **incremental layout state** — [`LayoutState`] overlays the
-//!   [`FreeSpace`] per-row free runs; applying or undoing a move is two
-//!   run splices and two hash XORs, never a clone down the tree;
+//! * **incremental layout state** — [`LayoutState`] copies the
+//!   [`FreeSpace`] row masks once per plan; applying or undoing a move
+//!   clears the bits of one span, sets those of the other and XORs two
+//!   hash keys, never a clone down the tree;
+//! * **precomputed compatible starts** — each mover carries the mask of
+//!   start columns whose span has its column kinds (the HTR relocation
+//!   condition), so target enumeration ANDs it with each base row's free
+//!   starts (`FreeSpace::free_starts`) instead of comparing column
+//!   slices at every start in every node;
 //! * **Zobrist-style transposition table** — each (allocation, position)
 //!   pair hashes to a derived 64-bit key; the layout hash is their XOR,
 //!   so permuted move orders reaching the same layout collide in the
@@ -49,9 +55,9 @@
 //! ([`LayoutManager::move_cost`]).
 
 use crate::defrag::RelocationMove;
-use crate::free::FreeSpace;
+use crate::free::{set_bits, FreeSpace};
 use crate::manager::{Allocation, LayoutManager, MoveCost};
-use fabric::{splitmix64, ColumnKind, Window};
+use fabric::{splitmix64, Window};
 use prcost::{Metrics, PrrOrganization};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -129,15 +135,6 @@ struct SpanRect {
 }
 
 impl SpanRect {
-    fn of(w: &Window) -> Self {
-        SpanRect {
-            start: w.start_col,
-            end: w.end_col(),
-            row: w.row,
-            top: w.top_row(),
-        }
-    }
-
     fn overlaps(&self, start: usize, end: usize, row: u32, top: u32) -> bool {
         self.start < end && start < self.end && self.row <= top && row <= self.top
     }
@@ -147,6 +144,8 @@ impl SpanRect {
 struct Mover<'a> {
     alloc: &'a Allocation,
     cost: MoveCost,
+    /// Start columns whose span has the allocation's column kinds.
+    starts: &'a [u64],
 }
 
 /// One candidate admit rectangle with its blockers and exact sequence
@@ -158,92 +157,66 @@ struct RectCand<'a> {
     cost: u64,
 }
 
-/// Incremental search state: the per-row free runs (copied once per
-/// rectangle, then mutated by apply/undo — never cloned down the tree)
-/// plus the XOR layout hash over the movers' current positions.
+/// Incremental search state: a copy of the live [`FreeSpace`] (made once
+/// per plan; every rectangle's descent undoes its moves, so the copy is
+/// back to the live layout when the next rectangle starts), the XOR
+/// layout hash over the movers' current positions and the rectangle's
+/// transposition table, plus scratch for target enumeration.
 struct LayoutState {
-    runs: Vec<Vec<(usize, usize)>>,
+    free: FreeSpace,
     hash: u64,
+    /// Hashes of the layouts the current rectangle's descent has entered.
+    visited: HashSet<u64>,
+    /// One free-start mask per base row ([`FreeSpace::free_starts`]).
+    bands: Vec<u64>,
 }
 
 impl LayoutState {
-    fn new(free: &FreeSpace, movers: &[Mover<'_>]) -> Self {
-        let mut hash = 0u64;
-        for m in movers {
-            hash ^= zkey(m.alloc.id, m.alloc.window.start_col, m.alloc.window.row);
-        }
-        LayoutState {
-            runs: free.runs().to_vec(),
-            hash,
-        }
-    }
-
-    /// Whether every cell of the rectangle is currently free (same run
-    /// probe as [`FreeSpace::is_free`]).
-    fn is_free(&self, start_col: usize, width: usize, row: u32, height: u32) -> bool {
-        let end = start_col + width;
-        (row..row + height).all(|r| {
-            let runs = &self.runs[(r - 1) as usize];
-            let i = runs.partition_point(|&(s, _)| s <= start_col);
-            i > 0 && runs[i - 1].1 >= end
-        })
-    }
-
-    /// Apply one move of mover `m` from its current span to `(to_start,
-    /// to_row)`: two run splices per row plus two hash XORs.
-    fn apply(&mut self, m: &Mover<'_>, from: SpanRect, to_start: usize, to_row: u32) {
-        let w = from.end - from.start;
-        let h = from.top - from.row + 1;
-        for r in to_row..to_row + h {
-            crate::free::carve_run(&mut self.runs[(r - 1) as usize], to_start, to_start + w);
-        }
-        for r in from.row..from.row + h {
-            crate::free::merge_run(&mut self.runs[(r - 1) as usize], from.start, from.end);
-        }
-        self.hash ^= zkey(m.alloc.id, from.start, from.row) ^ zkey(m.alloc.id, to_start, to_row);
-    }
-
-    /// Exact inverse of [`LayoutState::apply`].
-    fn undo(&mut self, m: &Mover<'_>, from: SpanRect, to_start: usize, to_row: u32) {
-        let w = from.end - from.start;
-        let h = from.top - from.row + 1;
-        for r in from.row..from.row + h {
-            crate::free::carve_run(&mut self.runs[(r - 1) as usize], from.start, from.end);
-        }
-        for r in to_row..to_row + h {
-            crate::free::merge_run(&mut self.runs[(r - 1) as usize], to_start, to_start + w);
-        }
-        self.hash ^= zkey(m.alloc.id, from.start, from.row) ^ zkey(m.alloc.id, to_start, to_row);
+    /// Move mover `m`'s window from `(start, row)` position `from` to
+    /// `to`: the target cells are taken, the source cells freed and the
+    /// hash swaps the two position keys. Moving back undoes it exactly.
+    fn shift(&mut self, m: &Mover<'_>, from: (usize, u32), to: (usize, u32)) {
+        let (w, h) = (m.alloc.window.columns.len(), m.alloc.window.height);
+        self.free.allocate_rect(to.0, w, to.1, h);
+        self.free.release_rect(from.0, w, from.1, h);
+        self.hash ^= zkey(m.alloc.id, from.0, from.1) ^ zkey(m.alloc.id, to.0, to.1);
     }
 }
 
-/// Canonical target enumeration for one mover: compatible column spans
+/// Canonical target enumeration for one mover: compatible starts
 /// ascending, base rows ascending, currently free, disjoint from the
 /// admit rectangle. Shared (by specification) with the frozen oracle.
 fn targets_into(
-    columns: &[ColumnKind],
-    rows: u32,
-    state: &LayoutState,
+    state: &mut LayoutState,
     admit: &SpanRect,
     mover: &Mover<'_>,
     out: &mut Vec<(usize, u32)>,
 ) {
     out.clear();
-    let want = &mover.alloc.window.columns[..];
-    let bw = want.len();
-    let bh = mover.alloc.window.height;
-    for start in 0..=columns.len().saturating_sub(bw) {
-        if &columns[start..start + bw] != want {
-            continue;
+    let words = mover.starts.len();
+    let (bw, bh) = (mover.alloc.window.columns.len(), mover.alloc.window.height);
+    let bases = (state.free.rows() + 1 - bh) as usize;
+    state.bands.resize(bases * words, 0);
+    for (i, band) in state.bands.chunks_exact_mut(words).enumerate() {
+        state.free.free_starts(bw, i as u32 + 1, bh, band);
+        for (b, &s) in band.iter_mut().zip(mover.starts) {
+            *b &= s;
         }
-        for row in 1..=rows - bh + 1 {
-            if !state.is_free(start, bw, row, bh) {
-                continue;
+    }
+    for w in 0..words {
+        let any = state
+            .bands
+            .chunks_exact(words)
+            .fold(0, |acc, band| acc | band[w]);
+        for bit in set_bits(&[any]) {
+            let start = w * 64 + bit;
+            for (i, band) in state.bands.chunks_exact(words).enumerate() {
+                let row = i as u32 + 1;
+                if band[w] >> bit & 1 == 1 && !admit.overlaps(start, start + bw, row, row + bh - 1)
+                {
+                    out.push((start, row));
+                }
             }
-            if admit.overlaps(start, start + bw, row, row + bh - 1) {
-                continue;
-            }
-            out.push((start, row));
         }
     }
 }
@@ -257,14 +230,10 @@ type Seq = Vec<(usize, usize, u32)>;
 /// of the admit rectangle. The visited set prunes permuted move orders
 /// reaching the same layout; a pruned layout was fully explored and
 /// failed, so skipping it never changes the first success.
-#[allow(clippy::too_many_arguments)]
 fn descend(
-    columns: &[ColumnKind],
-    rows: u32,
     admit: &SpanRect,
     movers: &[Mover<'_>],
     state: &mut LayoutState,
-    visited: &mut HashSet<u64>,
     moved: u32,
     seq: &mut Seq,
     nodes: &mut u64,
@@ -282,29 +251,18 @@ fn descend(
         if moved & (1 << mi) != 0 {
             continue;
         }
-        let from = SpanRect::of(&mover.alloc.window);
-        targets_into(columns, rows, state, admit, mover, &mut targets);
+        let from = (mover.alloc.window.start_col, mover.alloc.window.row);
+        targets_into(state, admit, mover, &mut targets);
         for &(to_start, to_row) in &targets {
-            state.apply(mover, from, to_start, to_row);
+            state.shift(mover, from, (to_start, to_row));
             seq.push((mi, to_start, to_row));
-            if visited.insert(state.hash)
-                && descend(
-                    columns,
-                    rows,
-                    admit,
-                    movers,
-                    state,
-                    visited,
-                    moved | (1 << mi),
-                    seq,
-                    nodes,
-                    budget,
-                )
+            if state.visited.insert(state.hash)
+                && descend(admit, movers, state, moved | (1 << mi), seq, nodes, budget)
             {
                 return true;
             }
             seq.pop();
-            state.undo(mover, from, to_start, to_row);
+            state.shift(mover, (to_start, to_row), from);
         }
     }
     false
@@ -313,9 +271,11 @@ fn descend(
 /// Enumerate candidate admit rectangles (candidate starts ascending,
 /// base rows ascending — the tie-break order) with their blockers and
 /// exact sequence costs. Rectangles with more blockers than `depth` are
-/// unreachable and dropped here.
+/// unreachable and dropped here. `starts[i]` is the compatible-start mask
+/// of the `i`-th live allocation in id order.
 fn rect_candidates<'a>(
     mgr: &'a LayoutManager,
+    starts: &'a [Vec<u64>],
     org: &PrrOrganization,
     depth: usize,
     context_aware: bool,
@@ -331,27 +291,35 @@ fn rect_candidates<'a>(
         .iter()
         .map(|a| mgr.move_cost(a, context_aware))
         .collect();
-    for &start in free.candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols) {
-        let start = start as usize;
+    for start in free.candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols) {
+        let end = start + width;
+        // Allocations sharing a column with the span, in id order.
+        let in_span: Vec<usize> = (0..allocs.len())
+            .filter(|&i| allocs[i].window.start_col < end && start < allocs[i].window.end_col())
+            .collect();
         for row in 1..=free.rows() - org.height + 1 {
             let admit = SpanRect {
                 start,
-                end: start + width,
+                end,
                 row,
                 top: row + org.height - 1,
             };
-            let movers: Vec<Mover<'a>> = allocs
-                .iter()
-                .zip(&costs)
-                .filter(|(a, _)| {
-                    let w = &a.window;
+            let blockers = || {
+                in_span.iter().copied().filter(|&i| {
+                    let w = &allocs[i].window;
                     admit.overlaps(w.start_col, w.end_col(), w.row, w.top_row())
                 })
-                .map(|(a, &cost)| Mover { alloc: a, cost })
-                .collect();
-            if movers.len() > depth {
+            };
+            if blockers().nth(depth).is_some() {
                 continue;
             }
+            let movers: Vec<Mover<'a>> = blockers()
+                .map(|i| Mover {
+                    alloc: allocs[i],
+                    cost: costs[i],
+                    starts: &starts[i],
+                })
+                .collect();
             let cost = movers.iter().map(|m| m.cost.transfer_ns).sum();
             rects.push(RectCand {
                 admit,
@@ -367,23 +335,21 @@ fn rect_candidates<'a>(
 /// budget, adding the nodes it expands to `nodes`; returns the canonical
 /// first sequence if one exists.
 fn solve_rect(
-    mgr: &LayoutManager,
+    state: &mut LayoutState,
     rect: &RectCand<'_>,
     budget: u64,
     nodes: &mut u64,
 ) -> Option<Seq> {
-    let free = mgr.free_space();
-    let mut state = LayoutState::new(free, &rect.movers);
-    let mut visited = HashSet::new();
+    state.hash = rect.movers.iter().fold(0, |hash, m| {
+        hash ^ zkey(m.alloc.id, m.alloc.window.start_col, m.alloc.window.row)
+    });
+    state.visited.clear();
     let mut seq = Vec::with_capacity(rect.movers.len());
     let mut rect_nodes = 0u64;
     let found = descend(
-        mgr.device().columns(),
-        free.rows(),
         &rect.admit,
         &rect.movers,
-        &mut state,
-        &mut visited,
+        state,
         0,
         &mut seq,
         &mut rect_nodes,
@@ -454,11 +420,22 @@ pub fn plan(
         return None;
     }
     let depth = config.depth.min(MAX_DEPTH) as usize;
-    let mut rects = rect_candidates(mgr, org, depth, config.context_aware);
+    let free = mgr.free_space();
+    let starts: Vec<Vec<u64>> = mgr
+        .allocations()
+        .map(|a| free.compatible_starts(&a.window.columns))
+        .collect();
+    let mut rects = rect_candidates(mgr, &starts, org, depth, config.context_aware);
     rects.sort_by_key(|r| (r.cost, r.movers.len()));
+    let mut state = LayoutState {
+        free: free.clone(),
+        hash: 0,
+        visited: HashSet::new(),
+        bands: Vec::new(),
+    };
     let mut nodes = 0u64;
     let (rect, seq) = rects.iter().find_map(|rect| {
-        solve_rect(mgr, rect, config.node_budget, &mut nodes).map(|seq| (rect, seq))
+        solve_rect(&mut state, rect, config.node_budget, &mut nodes).map(|seq| (rect, seq))
     })?;
     Some(materialize(mgr, rect, &seq, nodes))
 }
@@ -560,8 +537,7 @@ pub mod reference {
         }
         let rows = free.rows();
         let mut best: Option<Best> = None;
-        for &start in free.candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols) {
-            let start = start as usize;
+        for start in free.candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols) {
             for row in 1..=free.rows() - org.height + 1 {
                 let admit = Window {
                     start_col: start,

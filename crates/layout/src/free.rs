@@ -1,41 +1,120 @@
 //! Runtime free-space tracking over the device grid.
 //!
-//! [`FreeSpace`] maintains, per fabric row, the sorted list of maximal
-//! free column runs, updated incrementally in O(affected runs) on every
-//! allocate/release. Placement queries are answered against a
-//! *composition index* built with the same run-extension walk as
-//! [`fabric::DeviceGeometry`]: at construction we visit every span of
-//! every maximal IOB/CLK-free run ([`Device::prr_free_runs`]) and record,
-//! for each achievable composition `(W_CLB, W_DSP, W_BRAM)`, the full
-//! ascending list of start columns realising it. A query then probes one
-//! hash bucket and tests only the geometrically possible starts instead
-//! of rescanning the column list.
+//! [`FreeSpace`] keeps one occupancy bitmask per fabric row: bit `c % 64`
+//! of word `c / 64` is set iff column `c` is free and PRR-eligible. A row
+//! of a `width`-column device is `⌈width / 64⌉` words, whatever the
+//! width. Allocate and release flip the rectangle's bits, a word XOR per
+//! row word (allocate first checks the cells are free), and the free-cell
+//! counts (total and per resource kind) are popcounts.
 //!
 //! Placement policy is **leftmost, then bottom**: candidate start
 //! columns are tried in ascending order, and within a start column base
-//! rows ascend. [`NaiveFreeSpace`] reimplements the same policy by brute
-//! force over an occupancy grid and is the equivalence oracle (and the
-//! bench baseline) for every query and metric.
+//! rows ascend. A composition's candidate starts are the spans holding
+//! exactly `(W_CLB, W_DSP, W_BRAM)` columns and no IOB/CLK column: the
+//! starts of long-enough runs in the wanted kinds' column mask, checked
+//! against per-kind column prefix counts when more than one kind is
+//! wanted. Construction is O(rows × words + width) and builds no span
+//! index. [`FreeSpace::find_window`] ANDs the `height` rows above
+//! each base row, keeps the starts of free runs at least `width` columns
+//! wide, masks them with the candidate starts and takes the lowest start,
+//! then the lowest base row. [`NaiveFreeSpace`] reimplements the same
+//! policy by brute force over an occupancy grid and is the equivalence
+//! oracle (and the bench baseline) for every query and metric.
 //!
-//! Forbidden (IOB/CLK) columns are never part of any free run, so two
-//! adjacent free runs in a row can only be separated by occupied eligible
-//! cells — merging runs that touch on release is always safe.
+//! Forbidden (IOB/CLK) columns are never set, so the maximal runs of set
+//! bits in a row are exactly its maximal free runs: two free runs can
+//! only be separated by occupied eligible cells or forbidden columns.
 //!
-//! Fragmentation metrics are incremental too: the per-row height
-//! histograms of the largest-rectangle sweep are repaired column-wise on
-//! every allocate/release (stopping at the first unchanged row), so
-//! [`FreeSpace::largest_free_rect`] and
-//! [`FreeSpace::fragmentation_index`] are O(1) queries — the defrag
-//! search and the simulator sample them on every placement change. Debug
-//! builds assert the cached value against the full sweep on every query.
+//! Fragmentation metrics are computed from the masks when asked:
+//! [`FreeSpace::largest_free_rect`] ANDs row bands and measures their
+//! longest runs, [`FreeSpace::run_width_histogram`] groups each row's set
+//! bits into runs.
 
 use fabric::{ColumnKind, Device, Window, WindowRequest};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-/// Packs a composition into one `u64` index key (21 bits per count),
-/// mirroring the key used by `fabric::DeviceGeometry`.
-fn comp_key(clb: u32, dsp: u32, bram: u32) -> u64 {
-    (u64::from(clb) << 42) | (u64::from(dsp) << 21) | u64::from(bram)
+/// Columns per mask word.
+const BITS: usize = 64;
+
+/// `(word, bits)` pairs covering columns `[start, end)`; `start < end`.
+fn span_words(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
+    let (first, last) = (start / BITS, (end - 1) / BITS);
+    (first..=last).map(move |w| {
+        let lo = if w == first { start % BITS } else { 0 };
+        let hi = if w == last {
+            (end - 1) % BITS + 1
+        } else {
+            BITS
+        };
+        (w, (u64::MAX >> (BITS - (hi - lo))) << lo)
+    })
+}
+
+/// Set bit indices of `mask`, ascending.
+pub(crate) fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * BITS + bit
+            })
+        })
+    })
+}
+
+/// Length of the longest run of set bits in `mask`.
+fn longest_run(mask: &[u64]) -> usize {
+    let (mut best, mut carry) = (0, 0);
+    for &word in mask {
+        if word == u64::MAX {
+            carry += BITS;
+            continue;
+        }
+        let mut rest = word;
+        let mut next_carry = 0;
+        while rest != 0 {
+            let start = rest.trailing_zeros() as usize;
+            let len = (rest >> start).trailing_ones() as usize;
+            let run = if start == 0 { carry + len } else { len };
+            if start + len == BITS {
+                next_carry = run;
+                break;
+            }
+            best = best.max(run);
+            rest &= !(((1u64 << len) - 1) << start);
+        }
+        best = best.max(carry);
+        carry = next_carry;
+    }
+    best.max(carry)
+}
+
+/// Word `i` of `src` shifted down by `k` bits: bit `s` of the result is
+/// bit `s + k` of `src`.
+fn shifted(src: &[u64], k: usize, i: usize) -> u64 {
+    let (q, r) = (k / BITS, k % BITS);
+    let lo = src.get(i + q).copied().unwrap_or(0);
+    if r == 0 {
+        return lo;
+    }
+    (lo >> r) | (src.get(i + q + 1).copied().unwrap_or(0) << (BITS - r))
+}
+
+/// Keep in `x` only the starts of runs at least `len ≥ 1` bits long:
+/// afterwards bit `s` is set iff bits `s..s + len` all were. Log-step
+/// shift-and; each pass reads only words at or above the one it writes.
+fn keep_run_starts(x: &mut [u64], len: usize) {
+    let mut have = 1;
+    while have < len {
+        let k = have.min(len - have);
+        for i in 0..x.len() {
+            let next = shifted(x, k, i);
+            x[i] &= next;
+        }
+        have += k;
+    }
 }
 
 /// Incrementally maintained free-space map of one device.
@@ -43,84 +122,50 @@ fn comp_key(clb: u32, dsp: u32, bram: u32) -> u64 {
 pub struct FreeSpace {
     rows: u32,
     columns: Vec<ColumnKind>,
-    /// Per fabric row (index `row - 1`): sorted, disjoint, maximal free
-    /// column runs `[start, end)`. Only PRR-eligible columns ever appear.
-    free: Vec<Vec<(usize, usize)>>,
-    /// Composition → ascending start columns of spans realising it on the
-    /// empty device (the fixed geometry; occupancy is tested per query).
-    candidates: HashMap<u64, Vec<u32>>,
-    /// Free eligible cells, total and per resource kind slot.
-    free_cells: u64,
-    free_by_kind: [u64; 3],
-    /// `heights[r][c]`: consecutive free cells in column `c` ending at row
-    /// index `r` — the per-row histogram the largest-rectangle sweep scans,
-    /// kept incrementally under allocate/release.
-    heights: Vec<Vec<u64>>,
-    /// `row_best[r]`: largest all-free rectangle whose top edge is row
-    /// index `r` (a pure function of `heights[r]`).
-    row_best: Vec<u64>,
-    /// Cached `max(row_best)`: the largest all-free rectangle.
-    largest: u64,
+    /// Words per row mask: `⌈width / 64⌉`.
+    words: usize,
+    /// Row masks, row `r` at `[(r - 1) * words, r * words)`: a set bit is
+    /// a free, PRR-eligible column.
+    free: Vec<u64>,
+    /// Column masks of the CLB, DSP and BRAM columns.
+    kinds: [Vec<u64>; 3],
+    /// `prefix[c]`: CLB, DSP and BRAM columns among `[0, c)`.
+    prefix: Vec<[u32; 3]>,
 }
 
 impl FreeSpace {
-    /// An all-free map of `device`.
+    /// An all-free map of `device`: O(rows × words + width).
     pub fn new(device: &Device) -> Self {
         let columns = device.columns().to_vec();
-        let mut candidates: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut row_runs = Vec::new();
-        let mut free_by_kind = [0u64; 3];
-        for run in device.prr_free_runs() {
-            for start in run.clone() {
-                let mut counts = [0u32; 3];
-                for &kind in &columns[start..run.end] {
-                    counts[kind.prr_count_slot()] += 1;
-                    candidates
-                        .entry(comp_key(counts[0], counts[1], counts[2]))
-                        .or_default()
-                        .push(start as u32);
-                }
+        let words = columns.len().div_ceil(BITS);
+        let mut kinds = [vec![0u64; words], vec![0u64; words], vec![0u64; words]];
+        let mut prefix = Vec::with_capacity(columns.len() + 1);
+        let mut counts = [0u32; 3];
+        prefix.push(counts);
+        for (c, &kind) in columns.iter().enumerate() {
+            if kind.allowed_in_prr() {
+                let slot = kind.prr_count_slot();
+                kinds[slot][c / BITS] |= 1 << (c % BITS);
+                counts[slot] += 1;
             }
-            for &kind in &columns[run.clone()] {
-                free_by_kind[kind.prr_count_slot()] += u64::from(device.rows());
-            }
-            row_runs.push((run.start, run.end));
+            prefix.push(counts);
         }
-        let free_cells = free_by_kind.iter().sum();
-        let rows = device.rows() as usize;
-        let free = vec![row_runs; rows];
-        let mut heights = vec![vec![0u64; columns.len()]; rows];
-        for (r, runs) in free.iter().enumerate() {
-            let (below, rest) = heights.split_at_mut(r);
-            let row = &mut rest[0];
-            for &(s, e) in runs {
-                for (c, h) in row.iter_mut().enumerate().take(e).skip(s) {
-                    *h = below.last().map_or(1, |prev| prev[c] + 1);
-                }
-            }
-        }
-        let row_best: Vec<u64> = heights
-            .iter()
-            .map(|h| largest_rect_in_histogram(h))
+        let eligible: Vec<u64> = (0..words)
+            .map(|w| kinds[0][w] | kinds[1][w] | kinds[2][w])
             .collect();
-        let largest = row_best.iter().copied().max().unwrap_or(0);
         FreeSpace {
             rows: device.rows(),
+            free: eligible.repeat(device.rows() as usize),
             columns,
-            free,
-            candidates,
-            free_cells,
-            free_by_kind,
-            heights,
-            row_best,
-            largest,
+            words,
+            kinds,
+            prefix,
         }
     }
 
-    /// The per-row free runs (row index `row - 1`), for building search
-    /// overlays without cloning the composition index.
-    pub(crate) fn runs(&self) -> &[Vec<(usize, usize)>] {
-        &self.free
+    /// Mask of fabric row `row` (1-based).
+    fn row(&self, row: u32) -> &[u64] {
+        &self.free[(row as usize - 1) * self.words..][..self.words]
     }
 
     /// Fabric rows.
@@ -135,15 +180,77 @@ impl FreeSpace {
 
     /// Whether the composition exists anywhere on the (empty) device.
     pub fn is_achievable(&self, clb: u32, dsp: u32, bram: u32) -> bool {
-        self.candidates.contains_key(&comp_key(clb, dsp, bram))
+        !self.candidate_starts(clb, dsp, bram).is_empty()
     }
 
     /// Ascending start columns whose span realises the composition on the
     /// empty device (occupancy not considered).
-    pub fn candidate_starts(&self, clb: u32, dsp: u32, bram: u32) -> &[u32] {
-        self.candidates
-            .get(&comp_key(clb, dsp, bram))
-            .map_or(&[], Vec::as_slice)
+    pub fn candidate_starts(&self, clb: u32, dsp: u32, bram: u32) -> Vec<usize> {
+        let mut mask = vec![0; self.words];
+        self.candidate_mask(clb, dsp, bram, &mut mask);
+        set_bits(&mask).collect()
+    }
+
+    /// Overwrite `out` with the mask of the composition's candidate
+    /// starts. A start qualifies when its span lies in columns of the
+    /// wanted kinds only (a run-start mask); with two or more kinds
+    /// wanted, its per-kind prefix counts must match too.
+    fn candidate_mask(&self, clb: u32, dsp: u32, bram: u32, out: &mut [u64]) {
+        let want = [clb, dsp, bram];
+        let span: usize = want.iter().map(|&n| n as usize).sum();
+        out.fill(0);
+        if span == 0 || span > self.columns.len() {
+            return;
+        }
+        for (&n, kind) in want.iter().zip(&self.kinds) {
+            if n > 0 {
+                for (o, &k) in out.iter_mut().zip(kind) {
+                    *o |= k;
+                }
+            }
+        }
+        keep_run_starts(out, span);
+        if want.iter().filter(|&&n| n > 0).count() > 1 {
+            for (w, word) in out.iter_mut().enumerate() {
+                let mut rest = *word;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let s = w * BITS + bit;
+                    let (a, b) = (&self.prefix[s], &self.prefix[s + span]);
+                    if (0..3).any(|k| b[k] - a[k] != want[k]) {
+                        *word &= !(1 << bit);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Mask of the start columns whose span has exactly the column kinds
+    /// `kinds`, in order: the relocation-compatible positions of a window
+    /// with those columns.
+    pub(crate) fn compatible_starts(&self, kinds: &[ColumnKind]) -> Vec<u64> {
+        let mut mask = vec![u64::MAX; self.words];
+        for (i, kind) in kinds.iter().enumerate() {
+            let src = &self.kinds[kind.prr_count_slot()];
+            for (w, m) in mask.iter_mut().enumerate() {
+                *m &= shifted(src, i, w);
+            }
+        }
+        mask
+    }
+
+    /// Overwrite `band` with the start columns of the all-free `width ×
+    /// height` rectangles whose base row is `row`: the AND of the rows,
+    /// narrowed to starts of runs at least `width` long.
+    pub(crate) fn free_starts(&self, width: usize, row: u32, height: u32, band: &mut [u64]) {
+        band.copy_from_slice(self.row(row));
+        for r in row + 1..row + height {
+            for (b, &m) in band.iter_mut().zip(self.row(r)) {
+                *b &= m;
+            }
+        }
+        keep_run_starts(band, width);
     }
 
     /// Whether every cell of the rectangle is currently free.
@@ -152,36 +259,46 @@ impl FreeSpace {
             return false;
         }
         let end = start_col + width;
-        (row..row + height).all(|r| {
-            let runs = &self.free[(r - 1) as usize];
-            let i = runs.partition_point(|&(s, _)| s <= start_col);
-            i > 0 && runs[i - 1].1 >= end
-        })
+        end <= self.columns.len()
+            && (row..row + height).all(|r| {
+                let mask = self.row(r);
+                span_words(start_col, end).all(|(w, m)| mask[w] & m == m)
+            })
     }
 
     /// First free window satisfying `req` under the leftmost-then-bottom
-    /// policy, or `None`. One composition-index probe plus occupancy
-    /// checks on the candidate starts only.
+    /// policy, or `None`: per base row, the free starts
+    /// (`FreeSpace::free_starts`) masked with the candidate starts; the
+    /// lowest start wins, the lowest row on ties.
     pub fn find_window(&self, req: &WindowRequest) -> Option<Window> {
         let width = req.width() as usize;
-        if width == 0 || req.height < 1 || req.height > self.rows {
+        if width == 0 || width > self.columns.len() || req.height < 1 || req.height > self.rows {
             return None;
         }
-        for &start in self.candidate_starts(req.clb_cols, req.dsp_cols, req.bram_cols) {
-            let start = start as usize;
-            for row in 1..=self.rows - req.height + 1 {
-                if self.is_free(start, width, row, req.height) {
-                    return Some(Window {
-                        start_col: start,
-                        width: req.width(),
-                        row,
-                        height: req.height,
-                        columns: self.columns[start..start + width].to_vec(),
-                    });
-                }
+        let mut buf = vec![0u64; 2 * self.words];
+        let (cand, band) = buf.split_at_mut(self.words);
+        self.candidate_mask(req.clb_cols, req.dsp_cols, req.bram_cols, cand);
+        let first = set_bits(cand).next()?;
+        let mut best: Option<(usize, u32)> = None;
+        for row in 1..=self.rows - req.height + 1 {
+            if best.is_some_and(|(s, _)| s == first) {
+                break;
+            }
+            self.free_starts(width, row, req.height, band);
+            for (b, &c) in band.iter_mut().zip(cand.iter()) {
+                *b &= c;
+            }
+            if let Some(s) = set_bits(band).next() {
+                best = Some(best.map_or((s, row), |b| b.min((s, row))));
             }
         }
-        None
+        best.map(|(start, row)| Window {
+            start_col: start,
+            width: req.width(),
+            row,
+            height: req.height,
+            columns: self.columns[start..start + width].to_vec(),
+        })
     }
 
     /// Mark the window's cells occupied. The window must be fully free.
@@ -190,139 +307,92 @@ impl FreeSpace {
     }
 
     /// Rectangle form of [`FreeSpace::allocate`]: no `Window` (and hence
-    /// no `columns` `Vec`) needs to exist — the search tree applies moves
-    /// through this.
+    /// no `columns` `Vec`) needs to exist — the defrag search applies
+    /// moves through this.
     pub fn allocate_rect(&mut self, start_col: usize, width: usize, row: u32, height: u32) {
         assert!(
             self.is_free(start_col, width, row, height),
             "allocate of a non-free window"
         );
-        let end = start_col + width;
-        for r in row..row + height {
-            carve_run(&mut self.free[(r - 1) as usize], start_col, end);
-        }
-        let h = u64::from(height);
-        for &kind in &self.columns[start_col..end] {
-            self.free_by_kind[kind.prr_count_slot()] -= h;
-        }
-        self.free_cells -= width as u64 * h;
-        self.update_rect_metrics(start_col, end, row, height, false);
+        self.flip_rect(start_col, width, row, height);
     }
 
-    /// Return the window's cells to the free map, merging with adjacent
-    /// runs (always safe: forbidden columns are never free, so touching
-    /// runs are contiguous eligible cells).
+    /// Return the window's cells to the free map.
     pub fn release(&mut self, w: &Window) {
         self.release_rect(w.start_col, w.width as usize, w.row, w.height);
     }
 
     /// Rectangle form of [`FreeSpace::release`].
     pub fn release_rect(&mut self, start_col: usize, width: usize, row: u32, height: u32) {
-        let end = start_col + width;
-        for r in row..row + height {
-            merge_run(&mut self.free[(r - 1) as usize], start_col, end);
-        }
-        let h = u64::from(height);
-        for &kind in &self.columns[start_col..end] {
-            self.free_by_kind[kind.prr_count_slot()] += h;
-        }
-        self.free_cells += width as u64 * h;
-        self.update_rect_metrics(start_col, end, row, height, true);
+        debug_assert!(
+            (row..row + height).all(|r| {
+                let mask = self.row(r);
+                span_words(start_col, start_col + width).all(|(w, m)| mask[w] & m == 0)
+            }),
+            "double free"
+        );
+        self.flip_rect(start_col, width, row, height);
     }
 
-    /// Incrementally repair `heights`/`row_best`/`largest` after the cells
-    /// of `[start, end) × [row, row + height)` flipped to `now_free`.
-    ///
-    /// Heights only change in the rectangle's columns: within the mutated
-    /// rows the new occupancy is known outright, and above them a cell is
-    /// free iff its *old* height was positive (occupancy there did not
-    /// change), so the recomputation walks upward per column and stops at
-    /// the first row whose height is unchanged — every row above it is
-    /// then unchanged too.
-    fn update_rect_metrics(
-        &mut self,
-        start: usize,
-        end: usize,
-        row: u32,
-        height: u32,
-        now_free: bool,
-    ) {
-        let r0 = (row - 1) as usize;
-        let r1 = r0 + height as usize;
-        let rows = self.rows as usize;
-        let mut max_changed = r1 - 1;
-        for c in start..end {
-            let mut prev = if r0 == 0 { 0 } else { self.heights[r0 - 1][c] };
-            for r in r0..r1 {
-                prev = if now_free { prev + 1 } else { 0 };
-                self.heights[r][c] = prev;
-            }
-            for r in r1..rows {
-                let old = self.heights[r][c];
-                let new = if old > 0 { prev + 1 } else { 0 };
-                if new == old {
-                    break;
-                }
-                self.heights[r][c] = new;
-                prev = new;
-                if r > max_changed {
-                    max_changed = r;
-                }
+    /// Flip the rectangle's bits: allocate a free one, release an
+    /// occupied one.
+    fn flip_rect(&mut self, start_col: usize, width: usize, row: u32, height: u32) {
+        for r in row..row + height {
+            let base = (r as usize - 1) * self.words;
+            for (w, m) in span_words(start_col, start_col + width) {
+                self.free[base + w] ^= m;
             }
         }
-        for r in r0..=max_changed {
-            self.row_best[r] = largest_rect_in_histogram(&self.heights[r]);
-        }
-        self.largest = self.row_best.iter().copied().max().unwrap_or(0);
     }
 
     /// Free eligible cells in total.
     pub fn total_free_cells(&self) -> u64 {
-        self.free_cells
+        self.free.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// Free eligible cells per resource kind `(CLB, DSP, BRAM)`.
     pub fn free_cells_by_kind(&self) -> [u64; 3] {
-        self.free_by_kind
+        let mut by_kind = [0u64; 3];
+        for mask in self.free.chunks_exact(self.words) {
+            for (count, kind) in by_kind.iter_mut().zip(&self.kinds) {
+                *count += mask
+                    .iter()
+                    .zip(kind)
+                    .map(|(&f, &k)| u64::from((f & k).count_ones()))
+                    .sum::<u64>();
+            }
+        }
+        by_kind
     }
 
-    /// Area (in cells) of the largest all-free rectangle.
-    ///
-    /// O(1): the value is maintained incrementally by allocate/release
-    /// (the defrag search and the simulator's fragmentation sampler query
-    /// it on every placement change). Debug builds re-run the full
-    /// histogram sweep and assert agreement.
+    /// Area (in cells) of the largest all-free rectangle: for each top
+    /// row, the AND of ever taller row bands and its longest run, cut off
+    /// once no taller band can beat the best area found. A band whose
+    /// columns are all free in the row above (or below) it is skipped:
+    /// the band one row taller has the same columns and a larger area.
     pub fn largest_free_rect(&self) -> u64 {
-        debug_assert_eq!(
-            self.largest,
-            self.largest_free_rect_scan(),
-            "incremental largest-rect drifted from the full scan"
-        );
-        self.largest
-    }
-
-    /// The original full histogram-of-heights largest-rectangle sweep,
-    /// O(rows × width) — the ground truth the incremental value is
-    /// asserted against in debug builds.
-    fn largest_free_rect_scan(&self) -> u64 {
-        let width = self.columns.len();
-        let mut heights = vec![0u64; width];
+        let rows: Vec<&[u64]> = self.free.chunks_exact(self.words).collect();
+        let within = |band: &[u64], row: &[u64]| band.iter().zip(row).all(|(&b, &r)| b & !r == 0);
+        let mut band = vec![0u64; self.words];
         let mut best = 0u64;
-        for runs in &self.free {
-            let mut cursor = 0usize;
-            for &(s, e) in runs {
-                for h in &mut heights[cursor..s] {
-                    *h = 0;
-                }
-                for h in &mut heights[s..e] {
-                    *h += 1;
-                }
-                cursor = e;
+        for top in 0..rows.len() {
+            if top > 0 && within(rows[top], rows[top - 1]) {
+                continue;
             }
-            for h in &mut heights[cursor..] {
-                *h = 0;
+            band.copy_from_slice(rows[top]);
+            for bottom in top..rows.len() {
+                for (b, &m) in band.iter_mut().zip(rows[bottom]) {
+                    *b &= m;
+                }
+                if rows.get(bottom + 1).is_some_and(|next| within(&band, next)) {
+                    continue;
+                }
+                let longest = longest_run(&band) as u64;
+                best = best.max(longest * (bottom - top + 1) as u64);
+                if longest * ((rows.len() - top) as u64) <= best {
+                    break;
+                }
             }
-            best = best.max(largest_rect_in_histogram(&heights));
         }
         best
     }
@@ -330,10 +400,11 @@ impl FreeSpace {
     /// External-fragmentation index: `1 − largest free rectangle / total
     /// free cells`; `0` on an empty free map (nothing to fragment).
     pub fn fragmentation_index(&self) -> f64 {
-        if self.free_cells == 0 {
+        let free_cells = self.total_free_cells();
+        if free_cells == 0 {
             return 0.0;
         }
-        1.0 - self.largest_free_rect() as f64 / self.free_cells as f64
+        1.0 - self.largest_free_rect() as f64 / free_cells as f64
     }
 
     /// Histogram of free-run widths over all rows (width → run count):
@@ -341,66 +412,18 @@ impl FreeSpace {
     /// distributions being the signature of external fragmentation.
     pub fn run_width_histogram(&self) -> BTreeMap<usize, u64> {
         let mut hist = BTreeMap::new();
-        for runs in &self.free {
-            for &(s, e) in runs {
-                *hist.entry(e - s).or_insert(0u64) += 1;
+        for mask in self.free.chunks_exact(self.words) {
+            let mut bits = set_bits(mask).peekable();
+            while let Some(start) = bits.next() {
+                let mut end = start + 1;
+                while bits.next_if_eq(&end).is_some() {
+                    end += 1;
+                }
+                *hist.entry(end - start).or_insert(0u64) += 1;
             }
         }
         hist
     }
-}
-
-/// Carve `[start, end)` out of one row's sorted maximal free runs. The
-/// interval must lie inside a single run (callers check `is_free`).
-pub(crate) fn carve_run(runs: &mut Vec<(usize, usize)>, start: usize, end: usize) {
-    let i = runs.partition_point(|&(s, _)| s <= start) - 1;
-    let (s, e) = runs[i];
-    let mut repl = Vec::with_capacity(2);
-    if s < start {
-        repl.push((s, start));
-    }
-    if end < e {
-        repl.push((end, e));
-    }
-    runs.splice(i..=i, repl);
-}
-
-/// Merge `[start, end)` back into one row's sorted maximal free runs,
-/// coalescing with touching neighbours.
-pub(crate) fn merge_run(runs: &mut Vec<(usize, usize)>, start: usize, end: usize) {
-    let (mut start, mut end) = (start, end);
-    let mut i = runs.partition_point(|&(s, _)| s < start);
-    debug_assert!(i == 0 || runs[i - 1].1 <= start, "double free (left)");
-    debug_assert!(i == runs.len() || end <= runs[i].0, "double free (right)");
-    if i < runs.len() && runs[i].0 == end {
-        end = runs[i].1;
-        runs.remove(i);
-    }
-    if i > 0 && runs[i - 1].1 == start {
-        start = runs[i - 1].0;
-        i -= 1;
-        runs.remove(i);
-    }
-    runs.insert(i, (start, end));
-}
-
-/// Classic stack-based largest rectangle under a histogram.
-fn largest_rect_in_histogram(heights: &[u64]) -> u64 {
-    let mut stack: Vec<usize> = Vec::new();
-    let mut best = 0u64;
-    for i in 0..=heights.len() {
-        let h = if i < heights.len() { heights[i] } else { 0 };
-        while let Some(&top) = stack.last() {
-            if heights[top] <= h {
-                break;
-            }
-            stack.pop();
-            let left = stack.last().map_or(0, |&j| j + 1);
-            best = best.max(heights[top] * (i - left) as u64);
-        }
-        stack.push(i);
-    }
-    best
 }
 
 /// Brute-force oracle for [`FreeSpace`]: an occupancy grid with the same
@@ -581,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn carve_and_merge_round_trip() {
+    fn release_merges_touching_runs() {
         let d = strip(8);
         let mut fs = FreeSpace::new(&d);
         let a = win(0, 3, 1, 1);

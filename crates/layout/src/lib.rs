@@ -9,8 +9,8 @@
 //! fragmenting — following the module-layout-defragmentation line of van
 //! der Veen et al.:
 //!
-//! * [`FreeSpace`] — per-row maximal free-run tracking with a
-//!   composition-indexed placement query ([`free`]);
+//! * [`FreeSpace`] — one occupancy bitmask per fabric row, with
+//!   leftmost-then-bottom placement by word AND and shift ([`free`]);
 //! * [`LayoutManager`] — allocation bookkeeping, capacity-versus-
 //!   fragmentation failure classification, `layout:*` metrics
 //!   ([`manager`]);

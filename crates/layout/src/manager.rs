@@ -200,11 +200,7 @@ impl LayoutManager {
     /// every resource kind still has enough free cells — the window is
     /// blocked purely by the free space's *shape*.
     fn classify_failure(&self, org: &PrrOrganization) -> AllocError {
-        if org.height > self.free.rows()
-            || !self
-                .free
-                .is_achievable(org.clb_cols, org.dsp_cols, org.bram_cols)
-        {
+        if org.height > self.free.rows() {
             return AllocError::Capacity;
         }
         let h = u64::from(org.height);
@@ -214,7 +210,11 @@ impl LayoutManager {
             u64::from(org.bram_cols) * h,
         ];
         let have = self.free.free_cells_by_kind();
-        if need.iter().zip(&have).all(|(n, a)| n <= a) {
+        if need.iter().zip(&have).all(|(n, a)| n <= a)
+            && self
+                .free
+                .is_achievable(org.clb_cols, org.dsp_cols, org.bram_cols)
+        {
             AllocError::Fragmentation
         } else {
             AllocError::Capacity

@@ -17,6 +17,7 @@
 
 use crate::defrag::{DefragPolicy, RelocationMove};
 use crate::defrag2::Defrag2Config;
+use crate::free::FreeSpace;
 use crate::manager::{AllocError, LayoutManager};
 use bitstream::IcapModel;
 use fabric::{Device, Resources, WindowRequest};
@@ -228,12 +229,8 @@ fn account_moves(
 
 /// Eq. 2–6 organizations for `needs` on `device`, cheapest bitstream
 /// first (then lowest height), keeping only compositions the device can
-/// host at all (one composition-index probe each).
-fn candidate_orgs(
-    device: &Device,
-    geometry: &fabric::DeviceGeometry,
-    needs: &Resources,
-) -> Vec<PrrOrganization> {
+/// host at all.
+fn candidate_orgs(device: &Device, free: &FreeSpace, needs: &Resources) -> Vec<PrrOrganization> {
     if needs.clb() == 0 && needs.dsp() == 0 && needs.bram() == 0 {
         return Vec::new();
     }
@@ -250,11 +247,7 @@ fn candidate_orgs(
     let single_dsp = device.dsp_column_count() == 1;
     let mut orgs: Vec<PrrOrganization> = (1..=device.rows())
         .filter_map(|h| PrrOrganization::for_height(&req, h, single_dsp).ok())
-        .filter(|o| {
-            geometry
-                .leftmost_start(o.clb_cols, o.dsp_cols, o.bram_cols)
-                .is_some()
-        })
+        .filter(|o| free.is_achievable(o.clb_cols, o.dsp_cols, o.bram_cols))
         .collect();
     orgs.sort_by_key(|o| (bitstream_size_bytes(o), o.height));
     orgs
@@ -300,7 +293,6 @@ pub fn simulate_layout(
     let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut icap_free_at = 0u64;
     let mut frag = FragStats::default();
-    let geometry = fabric::DeviceGeometry::new(device);
     let d2cfg = Defrag2Config {
         depth: config.depth,
         ..Defrag2Config::default()
@@ -361,8 +353,7 @@ pub fn simulate_layout(
         let needs = (task.needs.clb(), task.needs.dsp(), task.needs.bram());
         let orgs = org_cache
             .entry(needs)
-            .or_insert_with(|| candidate_orgs(device, &geometry, &task.needs))
-            .clone();
+            .or_insert_with(|| candidate_orgs(device, manager.free_space(), &task.needs));
         if orgs.is_empty() {
             report.rejected_capacity += 1;
             continue;
@@ -371,7 +362,7 @@ pub fn simulate_layout(
         // Direct admission: cheapest-bitstream organization that fits.
         let mut admitted_org = None;
         let mut saw_fragmentation = false;
-        for org in &orgs {
+        for org in orgs.iter() {
             match manager.allocate(&task.module, org) {
                 Ok(id) => {
                     admitted_org = Some((id, *org));
@@ -390,7 +381,7 @@ pub fn simulate_layout(
         // serializes through the ICAP and stalls the moved (running)
         // module for its copy time.
         if admitted_org.is_none() && saw_fragmentation && config.policy != DefragPolicy::Never {
-            for org in &orgs {
+            for org in orgs.iter() {
                 let moves = if config.depth > 0 {
                     let Some(plan) = manager.plan_defrag2(org, &d2cfg) else {
                         continue;

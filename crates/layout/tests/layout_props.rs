@@ -20,20 +20,27 @@ use multitask::sim::reference::{simulate_seed, SeedPolicy};
 use multitask::{simulate, BestFit, FirstFit, PrSystem, ReuseAware, Workload};
 use prcost::{bitstream_size_bytes, PrrOrganization};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
+fn arb_column() -> impl Strategy<Value = ResourceKind> {
+    prop_oneof![
+        6 => Just(ResourceKind::Clb),
+        1 => Just(ResourceKind::Dsp),
+        1 => Just(ResourceKind::Bram),
+        1 => Just(ResourceKind::Iob),
+        1 => Just(ResourceKind::Clk),
+    ]
+}
+
+/// Narrow devices (one mask word per row) and wide ones whose rows span
+/// two to four words, up to 12 rows tall.
 fn arb_device() -> impl Strategy<Value = Device> {
     (
-        proptest::collection::vec(
-            prop_oneof![
-                6 => Just(ResourceKind::Clb),
-                1 => Just(ResourceKind::Dsp),
-                1 => Just(ResourceKind::Bram),
-                1 => Just(ResourceKind::Iob),
-                1 => Just(ResourceKind::Clk),
-            ],
-            1..40,
-        ),
-        1u32..7,
+        prop_oneof![
+            3 => proptest::collection::vec(arb_column(), 1..40),
+            2 => proptest::collection::vec(arb_column(), 100..220),
+        ],
+        1u32..13,
     )
         .prop_map(|(cols, rows)| Device::new("prop", Family::Virtex5, rows, cols).expect("device"))
 }
@@ -59,6 +66,9 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             3 => (0u32..6, 0u32..2, 0u32..2, 1u32..7).prop_map(|(clb, dsp, bram, height)| Op::Place {
                 clb, dsp, bram, height,
             }),
+            1 => (20u32..90, 0u32..3, 0u32..3, 1u32..13).prop_map(|(clb, dsp, bram, height)| Op::Place {
+                clb, dsp, bram, height,
+            }),
             1 => (0usize..8).prop_map(|slot| Op::Free { slot }),
         ],
         1..60,
@@ -66,7 +76,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 proptest! {
-    /// The incremental run-tracking structure and the brute-force
+    /// The row-mask structure and the brute-force
     /// occupancy grid agree on every placement decision and every
     /// fragmentation metric, at every step of an arbitrary churn.
     #[test]
@@ -100,8 +110,59 @@ proptest! {
             prop_assert_eq!(fast.free_cells_by_kind(), naive.free_cells_by_kind());
             prop_assert_eq!(fast.largest_free_rect(), naive.largest_free_rect());
             prop_assert_eq!(fast.fragmentation_index(), naive.fragmentation_index());
+            prop_assert_eq!(fast.run_width_histogram(), naive_runs(&device, &naive));
         }
     }
+}
+
+/// A 150-column row is three mask words: a window straddling both word
+/// boundaries, then the widest requests that fit on either side of it.
+#[test]
+fn rows_span_several_words() {
+    let device = Device::new("wide", Family::Virtex5, 1, vec![ResourceKind::Clb; 150]).unwrap();
+    let win = |start_col: usize, width: usize| Window {
+        start_col,
+        width: width as u32,
+        row: 1,
+        height: 1,
+        columns: vec![ResourceKind::Clb; width],
+    };
+    let mut fs = FreeSpace::new(&device);
+    fs.allocate(&win(60, 70));
+    assert_eq!(fs.total_free_cells(), 80);
+    assert!(!fs.is_free(59, 2, 1, 1));
+    assert!(fs.is_free(130, 20, 1, 1));
+    assert_eq!(fs.run_width_histogram(), BTreeMap::from([(20, 1), (60, 1)]));
+    assert_eq!(fs.largest_free_rect(), 60);
+    assert!(fs.find_window(&WindowRequest::new(61, 0, 0, 1)).is_none());
+    let w = fs.find_window(&WindowRequest::new(60, 0, 0, 1)).unwrap();
+    assert_eq!(w.start_col, 0);
+    fs.allocate(&w);
+    let w = fs.find_window(&WindowRequest::new(20, 0, 0, 1)).unwrap();
+    assert_eq!(w.start_col, 130);
+    fs.release(&win(0, 60));
+    fs.release(&win(60, 70));
+    assert_eq!(fs.run_width_histogram(), BTreeMap::from([(150, 1)]));
+    let w = fs.find_window(&WindowRequest::new(150, 0, 0, 1)).unwrap();
+    assert_eq!((w.start_col, w.width), (0, 150));
+}
+
+/// Free-run widths (width → count) read cell by cell off the oracle's
+/// occupancy grid.
+fn naive_runs(device: &Device, naive: &NaiveFreeSpace) -> BTreeMap<usize, u64> {
+    let mut hist = BTreeMap::new();
+    for row in 1..=device.rows() {
+        let mut run = 0;
+        for col in 0..=device.width() {
+            if col < device.width() && naive.is_free(col, 1, row, 1) {
+                run += 1;
+            } else if run > 0 {
+                *hist.entry(run).or_insert(0u64) += 1;
+                run = 0;
+            }
+        }
+    }
+    hist
 }
 
 /// The pinned fragmentation-inducing workload of the acceptance

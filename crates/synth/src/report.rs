@@ -153,7 +153,12 @@ impl SynthReport {
                 ffs: self.ffs,
             });
         }
-        if self.luts + self.ffs < self.lut_ff_pairs {
+        // A sum past `u64::MAX` is above any pair count.
+        if self
+            .luts
+            .checked_add(self.ffs)
+            .is_some_and(|sum| sum < self.lut_ff_pairs)
+        {
             return Err(ReportError::PairsAboveSum {
                 pairs: self.lut_ff_pairs,
                 luts: self.luts,
@@ -168,7 +173,7 @@ impl SynthReport {
         self.validate()?;
         Ok(PairBreakdown {
             unused_lut: self.lut_ff_pairs - self.luts,
-            fully_used: self.luts + self.ffs - self.lut_ff_pairs,
+            fully_used: self.luts - (self.lut_ff_pairs - self.ffs),
             unused_ff: self.lut_ff_pairs - self.ffs,
         })
     }

@@ -197,7 +197,12 @@ pub fn parse_report(text: &str) -> Result<SynthReport, XstParseError> {
     let ffs = grab(text, "Number of Slice Registers")?;
     let luts = grab(text, "Number of Slice LUTs")?;
     let pairs = grab(text, "Number of LUT Flip Flop pairs used")?;
-    let brams = grab(text, "Number of Block RAM/FIFO").unwrap_or(0);
+    // Pure-logic reports may omit the BRAM line; a malformed one is an
+    // error, not zero.
+    let brams = match grab(text, "Number of Block RAM/FIFO") {
+        Err(XstParseError::MissingField(_)) => 0,
+        count => count?,
+    };
     let dsps = grab_dsps(text)?;
     let report = SynthReport::new(grab_module(text), family, pairs, luts, ffs, dsps, brams);
     report.validate().map_err(XstParseError::Inconsistent)?;
@@ -266,6 +271,24 @@ mod tests {
         assert_eq!(r.dsps, 0);
         assert_eq!(r.brams, 0);
         assert_eq!(r.family, Family::Virtex6);
+    }
+
+    #[test]
+    fn parser_rejects_a_malformed_bram_count() {
+        let text = "\
+* Family : Virtex-5
+ Number of Slice Registers: 10
+ Number of Slice LUTs: 20
+ Number of LUT Flip Flop pairs used: 25
+ Number of Block RAM/FIFO: x
+";
+        assert_eq!(
+            parse_report(text),
+            Err(XstParseError::BadCount {
+                field: "Number of Block RAM/FIFO",
+                text: "x".to_string(),
+            })
+        );
     }
 
     #[test]
