@@ -18,7 +18,7 @@
 //! checksum, not an approximation. The carryless-multiply kernel derives
 //! its fold constants at compile time from the same `advance` algebra
 //! the portable folded kernel is built on (see
-//! [`crate::crc::clmul_fold_const`]). An x86 CPU without PCLMULQDQ, and
+//! `crc::clmul_fold_const`). An x86 CPU without PCLMULQDQ, and
 //! every non-x86 target, runs the portable kernels.
 //!
 //! ## Dispatch policy

@@ -13,7 +13,7 @@
 //! that emits the same placed module repeatedly — the steady state of a
 //! hardware-multitasking system — gets the cached stream back through
 //! [`emit_shared`] for the price of one reference-count increment. The
-//! original push-based emitter is frozen in [`reference`] and
+//! original push-based emitter is frozen in [`reference`](mod@reference) and
 //! property-tested byte-identical.
 
 use crate::crc::Crc32;

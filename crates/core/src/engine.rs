@@ -216,10 +216,14 @@ impl Engine {
     ///
     /// `geometry` **must** have been derived from `device` — a mismatched
     /// pair would memoize a wrong plan under the right key, poisoning
-    /// every later lookup of that point. Debug builds enforce this with
-    /// the geometry's recorded source-layout hash
-    /// ([`DeviceGeometry::matches_device`]); release builds trust the
-    /// caller, as before.
+    /// every later lookup of that point.
+    ///
+    /// # Panics
+    ///
+    /// If `geometry` is neither the engine's interned geometry for
+    /// `device` (what [`Engine::geometry`] returns; checked by address)
+    /// nor derived from an equal layout
+    /// ([`DeviceGeometry::matches_device`]).
     pub fn plan_with_geometry(
         &self,
         report: &SynthReport,
@@ -227,15 +231,15 @@ impl Engine {
         geometry: &DeviceGeometry,
         scratch: &mut PlanScratch,
     ) -> Result<PrrPlan, CostError> {
-        debug_assert!(
-            geometry.matches_device(device),
+        let (id, entry) = self.intern_device(device);
+        assert!(
+            std::ptr::eq(geometry, &*entry.geometry) || geometry.matches_device(device),
             "geometry was not derived from device `{}` (source layout hash {:#x} != {:#x})",
             device.name(),
             geometry.source_layout_hash(),
             device.layout_hash(),
         );
         self.metrics.plans.incr();
-        let (id, _) = self.intern_device(device);
         let req = PrrRequirements::from_report(report);
         let key = PlanKey::new(&req, id);
         if let Some(hit) = self.plan_memo.get(&key) {
@@ -361,11 +365,15 @@ impl Engine {
 
     /// Rebuild an engine from an exported snapshot: re-intern every
     /// device (rebuilding its window geometry), then seed the synthesis
-    /// and plan memos with the recorded entries. Lookups against the
-    /// restored engine return byte-identical results to the exporting
-    /// engine's. Restored entries are not replayed plans, so the plan
-    /// counters start at zero; only `geometry_builds` reflects the
-    /// geometry reconstruction work actually done here.
+    /// and plan memos with the recorded entries.
+    ///
+    /// A snapshot is untrusted input, so every plan record is replayed
+    /// through the Fig. 1 search on its interned geometry and must equal
+    /// the fresh result ([`SnapshotError::PlanMismatch`] otherwise): an
+    /// accepted snapshot can never poison the memo. Lookups against the
+    /// restored engine return byte-identical results to fresh planning.
+    /// Replays are not lookups, so the plan counters start at zero; only
+    /// `geometry_builds` reflects the reconstruction work done here.
     pub fn import_state(snapshot: &EngineSnapshot) -> Result<Engine, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::VersionMismatch {
@@ -374,11 +382,11 @@ impl Engine {
             });
         }
         let engine = Engine::new();
-        let mut ids = Vec::with_capacity(snapshot.devices.len());
-        for device in &snapshot.devices {
-            let (id, _) = engine.intern_device(device);
-            ids.push(id);
-        }
+        let interned: Vec<(DeviceId, Arc<DeviceEntry>)> = snapshot
+            .devices
+            .iter()
+            .map(|device| engine.intern_device(device))
+            .collect();
         for record in &snapshot.synth {
             engine.synth_memo.insert_or_get(
                 SynthKey {
@@ -388,17 +396,25 @@ impl Engine {
                 record.report.clone(),
             );
         }
-        for record in &snapshot.plans {
-            let id =
-                *ids.get(record.device as usize)
-                    .ok_or(SnapshotError::DeviceIndexOutOfRange {
-                        index: record.device,
-                        devices: snapshot.devices.len(),
-                    })?;
-            let key = PlanKey::from_parts(id, record.family, record.req);
-            engine
-                .plan_memo
-                .insert_or_get(key, Arc::new(record.result.clone()));
+        let mut scratch = PlanScratch::default();
+        for (index, record) in snapshot.plans.iter().enumerate() {
+            let (id, entry) = interned.get(record.device as usize).ok_or(
+                SnapshotError::DeviceIndexOutOfRange {
+                    index: record.device,
+                    devices: snapshot.devices.len(),
+                },
+            )?;
+            let key = PlanKey::from_parts(*id, record.family, record.req);
+            let replayed = plan_requirements_cached(
+                &key.requirements(),
+                &entry.device,
+                &entry.geometry,
+                &mut scratch,
+            );
+            if replayed != record.result {
+                return Err(SnapshotError::PlanMismatch { index });
+            }
+            engine.plan_memo.insert_or_get(key, Arc::new(replayed));
         }
         Ok(engine)
     }
@@ -466,6 +482,12 @@ pub enum SnapshotError {
         /// Number of devices in the snapshot.
         devices: usize,
     },
+    /// A plan record's result differs from planning its requirements
+    /// afresh on its device.
+    PlanMismatch {
+        /// Position of the record in [`EngineSnapshot::plans`].
+        index: usize,
+    },
 }
 
 impl core::fmt::Display for SnapshotError {
@@ -478,6 +500,10 @@ impl core::fmt::Display for SnapshotError {
             SnapshotError::DeviceIndexOutOfRange { index, devices } => write!(
                 f,
                 "plan record references device {index} but the snapshot holds {devices} devices"
+            ),
+            SnapshotError::PlanMismatch { index } => write!(
+                f,
+                "plan record {index} does not match a fresh plan of its requirements"
             ),
         }
     }
@@ -839,10 +865,9 @@ mod tests {
     }
 
     /// Bugfix regression: handing `plan_with_geometry` a geometry derived
-    /// from a *different* device must be caught (in debug builds) instead
-    /// of silently memoizing a wrong plan under the right key.
+    /// from a *different* device must be caught, in release builds too,
+    /// instead of silently memoizing a wrong plan under the right key.
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "geometry was not derived from device")]
     fn plan_with_geometry_rejects_foreign_geometry() {
         let engine = Engine::new();

@@ -44,19 +44,13 @@ pub fn plan_shared_prr(
     }
     let reqs: Vec<PrrRequirements> = reports.iter().map(PrrRequirements::from_report).collect();
     let combined = reqs.iter().skip(1).fold(reqs[0], |acc, r| acc.max(r));
-    if combined.is_empty() {
-        return Err(CostError::EmptyRequirements);
-    }
 
     // Per-kind maximum of each PRM's organization at each height is the
     // organization of the component-wise max requirements, since
     // Eqs. 2/3/5 are monotone in the numerator (and Eq. 4's row constraint
     // must hold for the max DSP_req). So the shared search is the single-
     // PRM search over the combined requirements.
-    let candidates = (1..=device.rows())
-        .map(|h| crate::search::evaluate_height(&combined, device, h))
-        .collect();
-    let plan = crate::search::select_best(&combined, device, candidates)?;
+    let plan = crate::search::plan_prr_from_requirements(&combined, device)?;
     let per_prm_utilization = reqs
         .iter()
         .map(|r| plan.organization.utilization(r))

@@ -9,6 +9,12 @@
 //! is the one consistent with the paper's reported Table V results — e.g.
 //! FIR on the LX110T picks H=5 (bitstream 83 040 B, PRR size 15) over the
 //! also-feasible H=4 (90 100 B, size 16); see `DESIGN.md` §6.
+//!
+//! There is one search. Every window probe is answered by a
+//! [`DeviceGeometry`] composition index: the engine, sweep and service
+//! reuse one index per device, and the one-shot entry points
+//! ([`plan_prr`], [`plan_prr_from_requirements`], [`candidates_for`])
+//! build one per call.
 
 use crate::bits::bitstream_size_bytes;
 use crate::error::CostError;
@@ -16,7 +22,7 @@ use crate::metrics::Metrics;
 use crate::prr::{OrganizationError, PrrOrganization, Utilization};
 use crate::requirements::PrrRequirements;
 use crate::shard::{DeviceEntry, DeviceId, EngineToken};
-use fabric::{Device, DeviceGeometry, Window, WindowRequest};
+use fabric::{Device, DeviceGeometry, Window};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use synth::SynthReport;
@@ -29,7 +35,7 @@ use synth::SynthReport;
 /// columns also swallows the CLB columns between them — which the
 /// unbounded CLB-padding axis already covers. The cap exists purely to
 /// bound the enumeration (≤ `(cap+1)²` DSP×BRAM combinations per CLB
-/// padding level); `find_padded_window` debug-asserts, and
+/// padding level); the padded search debug-asserts, and
 /// `padding_caps_lose_no_feasible_plan` in this module's tests verifies,
 /// that no database device loses a feasible plan to it.
 pub const MAX_PAD_DSP_COLS: u32 = 4;
@@ -60,20 +66,16 @@ enum CompResolution {
     Infeasible,
 }
 
-/// Reusable per-worker scratch for the padded-window fallback and the
-/// per-plan composition-resolution cache.
+/// Reusable per-worker scratch for the Fig. 1 search.
 ///
-/// [`find_padded_window`] enumerates up to ~1000 padded organizations per
-/// infeasible composition; reusing one scratch across the plans a sweep
-/// worker processes keeps that enumeration allocation-free after warm-up.
-/// The cached planning paths additionally record, per plan, how each
-/// distinct base composition resolved ([`CompResolution`]) so the padded
-/// enumeration runs once per composition instead of once per height. A
-/// fresh `PlanScratch::default()` is always valid — results never depend
-/// on scratch contents, only allocation reuse does.
+/// Within one plan, each distinct base composition resolves once (an
+/// index probe, or one padded-fallback enumeration when no exact window
+/// exists) and serves every height that produces it. Across plans, the
+/// scratch remembers recently interned devices so a repeat plan against
+/// the same engine skips the interner. A fresh `PlanScratch::default()`
+/// is always valid — results never depend on scratch contents.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
-    options: Vec<(u64, [u32; 3], PrrOrganization)>,
     /// Per-plan composition → resolution cache (linear map: a plan touches
     /// at most `rows` distinct compositions). Cleared at plan start.
     resolutions: Vec<((u32, u32, u32), CompResolution)>,
@@ -232,12 +234,6 @@ pub fn plan_prr(report: &SynthReport, device: &Device) -> Result<PrrPlan, CostEr
     let metrics = Metrics::global();
     metrics.plans.incr();
     let result = metrics.time("plan_prr", || {
-        if report.family != device.family() {
-            return Err(CostError::FamilyMismatch {
-                report: report.family,
-                device: device.family(),
-            });
-        }
         plan_prr_from_requirements(&PrrRequirements::from_report(report), device)
     });
     match &result {
@@ -247,23 +243,10 @@ pub fn plan_prr(report: &SynthReport, device: &Device) -> Result<PrrPlan, CostEr
     result
 }
 
-/// [`plan_prr`], answered through a precomputed [`DeviceGeometry`] and a
-/// reusable [`PlanScratch`].
-///
-/// Returns exactly what [`plan_prr`] returns for the same inputs (the
-/// geometry's window answers are identical to [`Device::find_window`]'s,
-/// and the padded-organization selection is byte-for-byte preserved), but
-/// every window probe is a lock-free O(1) composition-index lookup, and
-/// the planning loop is **height-factored**: each distinct base
-/// composition — including its padded-fallback enumeration, which the
-/// per-height loop used to regenerate and re-sort at every infeasible
-/// height — resolves once per plan and is reused across all heights that
-/// produce it. This is the planning path the batch
-/// [`crate::engine::Engine`] drives; `geometry` must have been derived
-/// from `device`.
-///
-/// Unlike [`plan_prr`], this records no global metrics — the engine owns
-/// its own [`Metrics`] registry and times whole plans around this call.
+/// [`plan_prr`] through a caller-held [`DeviceGeometry`] and a reusable
+/// [`PlanScratch`], recording no global metrics (the engine owns its own
+/// [`Metrics`] registry and times whole plans around this call).
+/// `geometry` must have been derived from `device`.
 pub fn plan_prr_cached(
     report: &SynthReport,
     device: &Device,
@@ -284,12 +267,8 @@ pub fn plan_prr_cached(
 /// This is the planning primitive under the memoizing engine and the
 /// async planning service: both key their memos on `(requirements,
 /// device)` — a plan is a pure function of exactly these inputs — so on a
-/// miss they plan from the requirements they already hold instead of
-/// reconstituting a report. Behaviorally identical to
-/// [`plan_prr_from_requirements`] (the family and emptiness rejections
-/// happen in the same order), with window probes answered from
-/// `geometry`'s composition index and the padded fallback height-factored
-/// through `scratch`.
+/// miss they plan from the requirements they already hold. A family
+/// mismatch is rejected before emptiness.
 pub fn plan_requirements_cached(
     req: &PrrRequirements,
     device: &Device,
@@ -305,92 +284,49 @@ pub fn plan_requirements_cached(
     if req.is_empty() {
         return Err(CostError::EmptyRequirements);
     }
-    scratch.resolutions.clear();
-    let mut candidates = Vec::with_capacity(device.rows() as usize);
-    for h in 1..=device.rows() {
-        candidates.push(evaluate_height_cached(req, device, h, geometry, scratch));
-    }
-    select_best(req, device, candidates)
+    select_best(
+        req,
+        device,
+        candidates_for_cached(req, device, geometry, scratch),
+    )
 }
 
-/// The seed per-height planning loop, driven through an arbitrary window
-/// `finder`: one probe per height plus a full padded enumeration at every
-/// infeasible height, with no composition reuse.
-///
-/// Kept (hidden) so the `window_index` benchmark can drive the frozen
-/// `fabric::reference::MemoGeometry` through the exact pre-index planning
-/// shape as an honest baseline. Returns what [`plan_prr`] returns for the
-/// same inputs whenever `finder` agrees with [`Device::find_window`].
-#[doc(hidden)]
-pub fn plan_prr_via_finder(
-    report: &SynthReport,
-    device: &Device,
-    finder: &dyn Fn(&WindowRequest) -> Option<Window>,
-    scratch: &mut PlanScratch,
-) -> Result<PrrPlan, CostError> {
-    if report.family != device.family() {
-        return Err(CostError::FamilyMismatch {
-            report: report.family,
-            device: device.family(),
-        });
-    }
-    let req = PrrRequirements::from_report(report);
-    if req.is_empty() {
-        return Err(CostError::EmptyRequirements);
-    }
-    let mut candidates = Vec::with_capacity(device.rows() as usize);
-    for h in 1..=device.rows() {
-        candidates.push(evaluate_height_with(&req, device, h, finder, scratch));
-    }
-    select_best(&req, device, candidates)
-}
-
-/// Plan the PRR for explicit requirements on `device`.
+/// Plan the PRR for explicit requirements on `device`, building the
+/// device's composition index for this one call.
 pub fn plan_prr_from_requirements(
     req: &PrrRequirements,
     device: &Device,
 ) -> Result<PrrPlan, CostError> {
-    if req.family != device.family() {
-        return Err(CostError::FamilyMismatch {
-            report: req.family,
-            device: device.family(),
-        });
-    }
-    if req.is_empty() {
-        return Err(CostError::EmptyRequirements);
-    }
-
-    let mut candidates = Vec::with_capacity(device.rows() as usize);
-    for h in 1..=device.rows() {
-        candidates.push(evaluate_height(req, device, h));
-    }
-    select_best(req, device, candidates)
+    plan_requirements_cached(
+        req,
+        device,
+        &DeviceGeometry::new(device),
+        &mut PlanScratch::default(),
+    )
 }
 
 /// All candidate evaluations for `req` on `device`, one per height, in
 /// ascending height order — the raw material of the Fig. 1 search, also
 /// consumed by the multi-PRR automatic floorplanner (`parflow`), which
-/// needs every feasible organization rather than just the winner.
+/// needs every feasible organization rather than just the winner. Empty
+/// for empty or wrong-family requirements; otherwise builds the device's
+/// composition index for this one call.
 pub fn candidates_for(req: &PrrRequirements, device: &Device) -> Vec<Candidate> {
     if req.is_empty() || req.family != device.family() {
         return Vec::new();
     }
-    (1..=device.rows())
-        .map(|h| evaluate_height(req, device, h))
-        .collect()
+    candidates_for_cached(
+        req,
+        device,
+        &DeviceGeometry::new(device),
+        &mut PlanScratch::default(),
+    )
 }
 
-/// [`candidates_for`], with window probes answered through a precomputed
-/// [`DeviceGeometry`] and the padded-fallback enumeration buffered in
-/// `scratch`.
-///
-/// Returns exactly what [`candidates_for`] returns for the same inputs
-/// (the geometry's window answers are identical to
-/// [`Device::find_window`]'s), height-factored like [`plan_prr_cached`]:
-/// each distinct base composition resolves once per call and serves every
-/// height. Callers that evaluate several requirement sets against one
-/// device — the multi-PRR floorplanner above all — share one geometry so
-/// every probe is a lock-free index lookup instead of a column rescan.
+/// [`candidates_for`] through a caller-held [`DeviceGeometry`]: callers
+/// that evaluate several requirement sets against one device — the
+/// multi-PRR floorplanner above all — share one index. Each distinct base
+/// composition resolves once per call and serves every height.
 /// `geometry` must have been derived from `device`.
 pub fn candidates_for_cached(
     req: &PrrRequirements,
@@ -408,58 +344,9 @@ pub fn candidates_for_cached(
 }
 
 /// Evaluate one candidate height of the Fig. 1 flow: organization
-/// (Eqs. 2–6), exact window search, and — only when no exact-composition
-/// window exists — minimal CLB-column padding.
-pub(crate) fn evaluate_height(req: &PrrRequirements, device: &Device, h: u32) -> Candidate {
-    let finder = |r: &WindowRequest| device.find_window(r);
-    evaluate_height_with(req, device, h, &finder, &mut PlanScratch::default())
-}
-
-/// [`evaluate_height`] with the window search routed through `finder`
-/// (either [`Device::find_window`] or a cached [`DeviceGeometry`]) and the
-/// padded-fallback enumeration buffered in `scratch`.
-fn evaluate_height_with(
-    req: &PrrRequirements,
-    device: &Device,
-    h: u32,
-    finder: &dyn Fn(&WindowRequest) -> Option<Window>,
-    scratch: &mut PlanScratch,
-) -> Candidate {
-    let single_dsp = device.dsp_column_count() == 1;
-    let outcome = match PrrOrganization::for_height(req, h, single_dsp) {
-        Err(OrganizationError::EmptyRequirements) => {
-            unreachable!("callers reject empty requirements")
-        }
-        Err(OrganizationError::SingleDspColumnNeedsRows { min_height }) => {
-            CandidateOutcome::DspRowsInsufficient { min_height }
-        }
-        Err(OrganizationError::CountOverflow) => CandidateOutcome::CountOverflow,
-        Ok(org) => {
-            let exact = finder(&org.window_request());
-            let placed = match exact {
-                Some(w) => Some((org, w, [0u32; 3])),
-                None => find_padded_window(&org, device, finder, scratch),
-            };
-            match placed {
-                None => CandidateOutcome::NoWindow { organization: org },
-                Some((org, window, padded_cols)) => CandidateOutcome::Feasible {
-                    bitstream_bytes: bitstream_size_bytes(&org),
-                    organization: org,
-                    window,
-                    padded_cols,
-                },
-            }
-        }
-    };
-    Candidate { height: h, outcome }
-}
-
-/// [`evaluate_height`] with the window search answered from a
-/// [`DeviceGeometry`] composition index and the plan's
-/// composition-resolution cache: the (potentially ~1000-option) padded
-/// enumeration runs at most once per distinct base composition, not once
-/// per height. Byte-identical to [`evaluate_height`] — see
-/// [`CompResolution`] for why the resolution is height-invariant.
+/// (Eqs. 2–6), then its composition's resolution — an exact window, the
+/// cheapest padded one, or none — through the plan's resolution cache
+/// (see [`CompResolution`] for why it is height-invariant).
 fn evaluate_height_cached(
     req: &PrrRequirements,
     device: &Device,
@@ -476,37 +363,33 @@ fn evaluate_height_cached(
             CandidateOutcome::DspRowsInsufficient { min_height }
         }
         Err(OrganizationError::CountOverflow) => CandidateOutcome::CountOverflow,
-        Ok(org) => match resolve_composition(&org, device, geometry, scratch) {
-            CompResolution::Infeasible => CandidateOutcome::NoWindow { organization: org },
-            CompResolution::Exact => {
-                let window = geometry
-                    .find_window(device, &org.window_request())
-                    .expect("resolved exact composition has a window");
-                CandidateOutcome::Feasible {
-                    bitstream_bytes: bitstream_size_bytes(&org),
-                    organization: org,
-                    window,
-                    padded_cols: [0; 3],
+        Ok(org) => {
+            let pad = match resolve_composition(&org, device, geometry, scratch) {
+                CompResolution::Infeasible => {
+                    return Candidate {
+                        height: h,
+                        outcome: CandidateOutcome::NoWindow { organization: org },
+                    }
                 }
+                CompResolution::Exact => [0; 3],
+                CompResolution::Padded { pad } => pad,
+            };
+            let placed = PrrOrganization {
+                clb_cols: org.clb_cols + pad[0],
+                dsp_cols: org.dsp_cols + pad[1],
+                bram_cols: org.bram_cols + pad[2],
+                ..org
+            };
+            let window = geometry
+                .find_window(device, &placed.window_request())
+                .expect("resolved composition has a window");
+            CandidateOutcome::Feasible {
+                bitstream_bytes: bitstream_size_bytes(&placed),
+                organization: placed,
+                window,
+                padded_cols: pad,
             }
-            CompResolution::Padded { pad } => {
-                let padded = PrrOrganization {
-                    clb_cols: org.clb_cols + pad[0],
-                    dsp_cols: org.dsp_cols + pad[1],
-                    bram_cols: org.bram_cols + pad[2],
-                    ..org
-                };
-                let window = geometry
-                    .find_window(device, &padded.window_request())
-                    .expect("resolved padded composition has a window");
-                CandidateOutcome::Feasible {
-                    bitstream_bytes: bitstream_size_bytes(&padded),
-                    organization: padded,
-                    window,
-                    padded_cols: pad,
-                }
-            }
-        },
+        }
     };
     Candidate { height: h, outcome }
 }
@@ -541,16 +424,14 @@ fn resolve_composition(
     resolution
 }
 
-/// The padded-fallback search of [`find_padded_window`], answered from
-/// the composition index: since feasibility of each padding option is an
-/// O(1) probe, the sort-then-probe-in-order loop collapses to a single
-/// min-scan over the *feasible* options — `bitstream_size_bytes` is never
-/// evaluated for infeasible paddings and nothing is sorted. Picks the
-/// same winner: the seed sorts stably by `(bytes, pad_sum)` over
-/// generation order and takes the first feasible entry, which is exactly
-/// the generation-order-first minimum of `(bytes, pad_sum)` over feasible
-/// entries. Returns the winning pad counts, or None if no capped padding
-/// is feasible (re-checked uncapped in debug builds, like the seed path).
+/// When no exact-composition window exists, absorb extra columns: among
+/// the paddings of up to every spare CLB column and
+/// [`MAX_PAD_DSP_COLS`]/[`MAX_PAD_BRAM_COLS`] extra DSP/BRAM columns that
+/// have a window, pick the one with the smallest padded bitstream, then
+/// the fewest extra columns, then the earliest in `(CLB, DSP, BRAM)`
+/// generation order. Returns the winning pad counts, or `None` if no
+/// capped padding is feasible — re-checked uncapped in debug builds, so a
+/// cap that hid a feasible plan fails loudly.
 fn find_padded_composition(
     org: &PrrOrganization,
     device: &Device,
@@ -574,7 +455,9 @@ fn find_padded_composition(
     found
 }
 
-/// [`find_padded_composition`] with explicit DSP/BRAM padding caps.
+/// [`find_padded_composition`] with explicit DSP/BRAM padding caps
+/// (`u32::MAX` is clamped by the device's column counts). Feasibility of
+/// each option is one index probe, so only feasible paddings are priced.
 fn find_padded_composition_with_caps(
     org: &PrrOrganization,
     device: &Device,
@@ -611,8 +494,7 @@ fn find_padded_composition_with_caps(
                     ..*org
                 };
                 let key = (bitstream_size_bytes(&padded), ec + ed + eb);
-                // Strict < keeps the earliest generated option on ties,
-                // matching the seed's stable sort.
+                // Strict < keeps the earliest generated option on ties.
                 if best.is_none_or(|(bytes, pads, _)| key < (bytes, pads)) {
                     best = Some((key.0, key.1, [ec, ed, eb]));
                 }
@@ -622,92 +504,9 @@ fn find_padded_composition_with_caps(
     best.map(|(_, _, pad)| pad)
 }
 
-/// When no exact-composition window exists, absorb extra columns:
-/// enumerate small paddings of each kind, order them by the padded
-/// organization's predicted bitstream (the search objective), and take the
-/// cheapest one with a real window. The enumeration buffer lives in
-/// `scratch` so sweep workers stop allocating here after warm-up; the
-/// stable sort over identical insertion order keeps results byte-for-byte
-/// independent of scratch reuse. In debug builds, a capped enumeration
-/// that comes up empty is re-checked uncapped to prove the
-/// [`MAX_PAD_DSP_COLS`]/[`MAX_PAD_BRAM_COLS`] caps hid no feasible plan.
-fn find_padded_window(
-    org: &PrrOrganization,
-    device: &Device,
-    finder: &dyn Fn(&WindowRequest) -> Option<Window>,
-    scratch: &mut PlanScratch,
-) -> Option<(PrrOrganization, Window, [u32; 3])> {
-    let found = find_padded_window_with_caps(
-        org,
-        device,
-        finder,
-        scratch,
-        MAX_PAD_DSP_COLS,
-        MAX_PAD_BRAM_COLS,
-    );
-    #[cfg(debug_assertions)]
-    if found.is_none() {
-        debug_assert!(
-            find_padded_window_with_caps(org, device, finder, scratch, u32::MAX, u32::MAX)
-                .is_none(),
-            "padding caps hid a feasible plan for {org:?} on {}",
-            device.name()
-        );
-    }
-    found
-}
-
-/// [`find_padded_window`] with explicit DSP/BRAM padding caps. The public
-/// planning paths pass [`MAX_PAD_DSP_COLS`]/[`MAX_PAD_BRAM_COLS`]; the
-/// uncapped variant (`u32::MAX`, clamped by device column counts) serves
-/// as the oracle proving the caps lose no feasible plan.
-fn find_padded_window_with_caps(
-    org: &PrrOrganization,
-    device: &Device,
-    finder: &dyn Fn(&WindowRequest) -> Option<Window>,
-    scratch: &mut PlanScratch,
-    dsp_cap: u32,
-    bram_cap: u32,
-) -> Option<(PrrOrganization, Window, [u32; 3])> {
-    let counts = device.column_counts();
-    let max_clb = (counts.clb() as u32).saturating_sub(org.clb_cols);
-    let max_dsp = (counts.dsp() as u32)
-        .saturating_sub(org.dsp_cols)
-        .min(dsp_cap);
-    let max_bram = (counts.bram() as u32)
-        .saturating_sub(org.bram_cols)
-        .min(bram_cap);
-
-    let options = &mut scratch.options;
-    options.clear();
-    for ec in 0..=max_clb {
-        for ed in 0..=max_dsp {
-            for eb in 0..=max_bram {
-                if ec + ed + eb == 0 {
-                    continue;
-                }
-                let padded = PrrOrganization {
-                    clb_cols: org.clb_cols + ec,
-                    dsp_cols: org.dsp_cols + ed,
-                    bram_cols: org.bram_cols + eb,
-                    ..*org
-                };
-                options.push((bitstream_size_bytes(&padded), [ec, ed, eb], padded));
-            }
-        }
-    }
-    options.sort_by_key(|(bytes, pad, _)| (*bytes, pad[0] + pad[1] + pad[2]));
-    for (_, pad, padded) in options.iter() {
-        if let Some(w) = finder(&padded.window_request()) {
-            return Some((*padded, w, *pad));
-        }
-    }
-    None
-}
-
 /// Pick the best feasible candidate: minimum predicted bitstream, then
 /// minimum `PRR_size`, then minimum height.
-pub(crate) fn select_best(
+fn select_best(
     req: &PrrRequirements,
     device: &Device,
     candidates: Vec<Candidate>,
@@ -888,20 +687,158 @@ mod tests {
         }
     }
 
-    /// The geometry-cached path must reproduce the direct path exactly,
-    /// including when one scratch is reused across plans.
+    /// The seed Fig. 1 loop, frozen as the oracle for the live search:
+    /// every height rescans the column list with [`Device::find_window`]
+    /// and, when no exact window exists, enumerates every capped padding,
+    /// stable-sorts the options by `(bytes, pad_sum)` and probes them in
+    /// that order. No composition is reused across heights.
+    fn seed_candidates(req: &PrrRequirements, device: &Device) -> Vec<Candidate> {
+        if req.is_empty() || req.family != device.family() {
+            return Vec::new();
+        }
+        let single_dsp = device.dsp_column_count() == 1;
+        (1..=device.rows())
+            .map(|h| {
+                let outcome = match PrrOrganization::for_height(req, h, single_dsp) {
+                    Err(OrganizationError::EmptyRequirements) => unreachable!(),
+                    Err(OrganizationError::SingleDspColumnNeedsRows { min_height }) => {
+                        CandidateOutcome::DspRowsInsufficient { min_height }
+                    }
+                    Err(OrganizationError::CountOverflow) => CandidateOutcome::CountOverflow,
+                    Ok(org) => match device
+                        .find_window(&org.window_request())
+                        .map(|w| (org, w, [0; 3]))
+                        .or_else(|| seed_padded_window(&org, device))
+                    {
+                        None => CandidateOutcome::NoWindow { organization: org },
+                        Some((org, window, padded_cols)) => CandidateOutcome::Feasible {
+                            bitstream_bytes: bitstream_size_bytes(&org),
+                            organization: org,
+                            window,
+                            padded_cols,
+                        },
+                    },
+                };
+                Candidate { height: h, outcome }
+            })
+            .collect()
+    }
+
+    /// The seed padded fallback: sort every capped padding by
+    /// `(bytes, pad_sum)` (stable, so generation order breaks ties) and
+    /// take the first that has a window.
+    fn seed_padded_window(
+        org: &PrrOrganization,
+        device: &Device,
+    ) -> Option<(PrrOrganization, Window, [u32; 3])> {
+        let counts = device.column_counts();
+        let max_clb = (counts.clb() as u32).saturating_sub(org.clb_cols);
+        let max_dsp = (counts.dsp() as u32)
+            .saturating_sub(org.dsp_cols)
+            .min(MAX_PAD_DSP_COLS);
+        let max_bram = (counts.bram() as u32)
+            .saturating_sub(org.bram_cols)
+            .min(MAX_PAD_BRAM_COLS);
+        let mut options = Vec::new();
+        for ec in 0..=max_clb {
+            for ed in 0..=max_dsp {
+                for eb in 0..=max_bram {
+                    if ec + ed + eb == 0 {
+                        continue;
+                    }
+                    let padded = PrrOrganization {
+                        clb_cols: org.clb_cols + ec,
+                        dsp_cols: org.dsp_cols + ed,
+                        bram_cols: org.bram_cols + eb,
+                        ..*org
+                    };
+                    options.push((bitstream_size_bytes(&padded), [ec, ed, eb], padded));
+                }
+            }
+        }
+        options.sort_by_key(|(bytes, pad, _)| (*bytes, pad[0] + pad[1] + pad[2]));
+        options.into_iter().find_map(|(_, pad, padded)| {
+            device
+                .find_window(&padded.window_request())
+                .map(|w| (padded, w, pad))
+        })
+    }
+
+    /// [`plan_prr_from_requirements`] as the seed computed it.
+    fn seed_plan(req: &PrrRequirements, device: &Device) -> Result<PrrPlan, CostError> {
+        if req.family != device.family() {
+            return Err(CostError::FamilyMismatch {
+                report: req.family,
+                device: device.family(),
+            });
+        }
+        if req.is_empty() {
+            return Err(CostError::EmptyRequirements);
+        }
+        select_best(req, device, seed_candidates(req, device))
+    }
+
+    /// Every live entry point against the seed oracle on one point: plans
+    /// (traces and errors included) and full candidate vectors, with one
+    /// scratch reused across points.
+    fn assert_matches_seed(req: &PrrRequirements, device: &Device, scratch: &mut PlanScratch) {
+        let geo = fabric::DeviceGeometry::new(device);
+        let seed = seed_plan(req, device);
+        let what = format!("{req:?} on {}", device.name());
+        assert_eq!(plan_prr_from_requirements(req, device), seed, "{what}");
+        assert_eq!(
+            plan_requirements_cached(req, device, &geo, scratch),
+            seed,
+            "{what}"
+        );
+        let seed_cands = seed_candidates(req, device);
+        assert_eq!(candidates_for(req, device), seed_cands, "{what}");
+        assert_eq!(
+            candidates_for_cached(req, device, &geo, scratch),
+            seed_cands,
+            "{what}"
+        );
+    }
+
+    /// The live search reproduces the seed loop on the Table V PRMs on
+    /// every database device, including the report-level entry points.
     #[test]
-    fn cached_planning_matches_direct_planning() {
+    fn cached_planning_matches_seed_on_table5_prms() {
         let mut scratch = PlanScratch::default();
-        for device in [xc5vlx110t(), xc6vlx75t()] {
+        for device in fabric::all_devices() {
             let geo = fabric::DeviceGeometry::new(&device);
             for prm in PaperPrm::ALL {
                 let report = prm.synth_report(device.family());
-                let direct = plan_prr(&report, &device).unwrap();
-                let cached = plan_prr_cached(&report, &device, &geo, &mut scratch).unwrap();
-                assert_eq!(direct, cached, "{prm:?} on {}", device.name());
+                let req = PrrRequirements::from_report(&report);
+                assert_matches_seed(&req, &device, &mut scratch);
+                let seed = seed_plan(&req, &device);
+                assert_eq!(plan_prr(&report, &device), seed);
+                assert_eq!(plan_prr_cached(&report, &device, &geo, &mut scratch), seed);
             }
         }
+    }
+
+    /// A family mismatch is reported before emptiness, and neither
+    /// yields candidates.
+    #[test]
+    fn rejections_keep_their_order() {
+        let device = xc5vlx110t();
+        let mut scratch = PlanScratch::default();
+        for req in [
+            PrrRequirements::new(Family::Virtex6, 0, 0, 0, 0, 0),
+            PrrRequirements::new(Family::Virtex6, 600, 600, 600, 2, 2),
+            PrrRequirements::new(Family::Virtex5, 0, 0, 0, 0, 0),
+        ] {
+            assert_matches_seed(&req, &device, &mut scratch);
+            assert!(candidates_for(&req, &device).is_empty());
+        }
+        assert!(matches!(
+            plan_prr_from_requirements(
+                &PrrRequirements::new(Family::Virtex6, 0, 0, 0, 0, 0),
+                &device
+            ),
+            Err(CostError::FamilyMismatch { .. })
+        ));
     }
 
     /// A requirement grid heavy in BRAM/DSP so that many points have no
@@ -922,40 +859,35 @@ mod tests {
     }
 
     /// The DSP/BRAM padding caps must not hide any feasible plan: on every
-    /// database device, every grid point either plans identically with
-    /// capped and uncapped padding, or fails on both.
+    /// database device, every grid point that has no exact window pads
+    /// identically with capped and uncapped padding, or fails on both.
     #[test]
     fn padding_caps_lose_no_feasible_plan() {
-        let mut scratch = PlanScratch::default();
         let mut padded_points = 0u32;
         for device in fabric::all_devices() {
-            let finder = |r: &fabric::WindowRequest| device.find_window(r);
+            let geo = fabric::DeviceGeometry::new(&device);
+            let single_dsp = device.dsp_column_count() == 1;
             for req in padding_grid(device.family()) {
-                let single_dsp = device.dsp_column_count() == 1;
                 for h in 1..=device.rows() {
                     let Ok(org) = PrrOrganization::for_height(&req, h, single_dsp) else {
                         continue;
                     };
-                    if finder(&org.window_request()).is_some() {
+                    if geo
+                        .leftmost_start(org.clb_cols, org.dsp_cols, org.bram_cols)
+                        .is_some()
+                    {
                         continue; // exact fit: padding never consulted
                     }
                     padded_points += 1;
-                    let capped = find_padded_window_with_caps(
+                    let capped = find_padded_composition_with_caps(
                         &org,
                         &device,
-                        &finder,
-                        &mut scratch,
+                        &geo,
                         MAX_PAD_DSP_COLS,
                         MAX_PAD_BRAM_COLS,
                     );
-                    let uncapped = find_padded_window_with_caps(
-                        &org,
-                        &device,
-                        &finder,
-                        &mut scratch,
-                        u32::MAX,
-                        u32::MAX,
-                    );
+                    let uncapped =
+                        find_padded_composition_with_caps(&org, &device, &geo, u32::MAX, u32::MAX);
                     assert_eq!(capped, uncapped, "{org:?} on {}", device.name());
                 }
             }
@@ -963,37 +895,26 @@ mod tests {
         assert!(padded_points > 100, "grid must exercise the padded path");
     }
 
-    /// The height-factored cached path must agree with the per-height seed
-    /// path on requirement points that trigger the padded fallback (the
-    /// Table V points all fit exactly, so check the padding grid too).
+    /// The live search reproduces the seed loop on requirement points that
+    /// trigger the padded fallback (the Table V points all fit exactly),
+    /// on every database device.
     #[test]
-    fn cached_planning_matches_direct_on_padding_grid() {
+    fn cached_planning_matches_seed_on_padding_grid() {
         let mut scratch = PlanScratch::default();
+        let mut padded = 0usize;
         for device in fabric::all_devices() {
-            let geo = fabric::DeviceGeometry::new(&device);
             for req in padding_grid(device.family()) {
-                let direct = plan_prr_from_requirements(&req, &device);
-                let finder = |r: &fabric::WindowRequest| geo.find_window(&device, r);
-                scratch.resolutions.clear();
-                let mut candidates = Vec::new();
-                for h in 1..=device.rows() {
-                    candidates.push(evaluate_height_cached(&req, &device, h, &geo, &mut scratch));
-                }
-                let cached = select_best(&req, &device, candidates);
-                match (&direct, &cached) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{req:?} on {}", device.name()),
-                    (Err(_), Err(_)) => {}
-                    _ => panic!("feasibility disagreement for {req:?} on {}", device.name()),
-                }
-                // The via-finder baseline (seed loop over the geometry)
-                // must agree too.
-                let seed_cands: Vec<Candidate> = (1..=device.rows())
-                    .map(|h| evaluate_height_with(&req, &device, h, &finder, &mut scratch))
-                    .collect();
-                let direct_cands = candidates_for(&req, &device);
-                assert_eq!(seed_cands, direct_cands, "{req:?} on {}", device.name());
+                assert_matches_seed(&req, &device, &mut scratch);
+                padded += seed_candidates(&req, &device)
+                    .iter()
+                    .filter(|c| {
+                        matches!(c.outcome, CandidateOutcome::Feasible { padded_cols, .. }
+                            if padded_cols != [0; 3])
+                    })
+                    .count();
             }
         }
+        assert!(padded > 100, "grid must reach padded plans ({padded})");
     }
 
     /// Padded-fallback resolutions are tallied once per distinct

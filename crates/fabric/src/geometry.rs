@@ -5,11 +5,7 @@
 //! [`WindowRequest`]s: one per candidate height, and — when a height has
 //! no exact-composition window — hundreds more for padded organizations.
 //! [`Device::find_window`] answers each probe by rescanning the column
-//! list and tallying every candidate span (O(columns × width) per probe);
-//! the previous geometry (frozen as
-//! [`reference::MemoGeometry`](crate::reference::MemoGeometry)) memoized
-//! those scans behind a `Mutex`, so cold probes still rescanned and every
-//! probe serialized through the lock.
+//! list and tallying every candidate span (O(columns × width) per probe).
 //!
 //! [`DeviceGeometry`] instead *enumerates the entire answer space up
 //! front*. A window is a span of contiguous columns containing no IOB/CLK
@@ -29,8 +25,8 @@
 //! the zero composition `(0, 0, 0)` is never indexed (spans have width
 //! ≥ 1) — both return `None`, exactly as the rescan does. Results are
 //! byte-identical to [`Device::find_window`]; the equivalence suite in
-//! `crates/fabric/tests/window_props.rs` checks all three implementations
-//! against each other on every database device and on random fabrics.
+//! `crates/fabric/tests/window_props.rs` checks the two against each other
+//! on every database device and on random fabrics.
 
 use crate::device::Device;
 use crate::window::{Window, WindowRequest};
@@ -117,8 +113,8 @@ impl DeviceGeometry {
     }
 
     /// [`Device::layout_hash`] of the device this geometry was derived
-    /// from. The planning engine debug-asserts this against the device it
-    /// is handed alongside a caller-supplied geometry — a mismatched pair
+    /// from. The planning engine checks this against the device it is
+    /// handed alongside a caller-supplied geometry — a mismatched pair
     /// would otherwise silently memoize a wrong plan under the right key.
     pub fn source_layout_hash(&self) -> u64 {
         self.source_hash
@@ -201,7 +197,6 @@ mod tests {
     use crate::column::ColumnSpec;
     use crate::database::all_devices;
     use crate::family::Family;
-    use crate::reference::MemoGeometry;
     use crate::resource::ResourceKind::*;
 
     fn tiny() -> Device {
@@ -227,7 +222,6 @@ mod tests {
     fn matches_device_find_window_on_tiny() {
         let d = tiny();
         let geo = DeviceGeometry::new(&d);
-        let memo = MemoGeometry::new(&d);
         for clb in 0..4 {
             for dsp in 0..2 {
                 for bram in 0..2 {
@@ -235,7 +229,6 @@ mod tests {
                         let req = WindowRequest::new(clb, dsp, bram, h);
                         let expected = d.find_window(&req);
                         assert_eq!(geo.find_window(&d, &req), expected, "req {req:?}");
-                        assert_eq!(memo.find_window(&d, &req), expected, "req {req:?}");
                     }
                 }
             }

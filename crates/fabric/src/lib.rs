@@ -13,10 +13,13 @@
 //! * **Column layouts and devices** ([`ColumnKind`], [`Device`]) — a device
 //!   is a rectangular grid of `rows` fabric rows over an ordered list of
 //!   resource columns, mirroring the Virtex-5/-6 two-dimensional PR layout.
-//! * **Window search** ([`device::Device::find_window`]) — locating a span of
-//!   contiguous columns with a requested resource-column mix and no IOB/CLK
-//!   columns, which is the physical-feasibility check in the paper's Fig. 1
-//!   flow.
+//! * **Window search** — locating a span of contiguous columns with a
+//!   requested resource-column mix and no IOB/CLK columns, which is the
+//!   physical-feasibility check in the paper's Fig. 1 flow.
+//!   [`DeviceGeometry`] indexes every achievable column composition of a
+//!   device once and answers each probe with one lookup; it is the window
+//!   source of the Fig. 1 search. [`Device::find_window`] is the direct
+//!   column scan it is checked against.
 //! * **Site grid** ([`grid::SiteGrid`]) — a finer-grained view (individual
 //!   CLB/DSP/BRAM sites) used by the simulated place-and-route flow in the
 //!   `parflow` crate.
@@ -39,7 +42,6 @@ pub mod error;
 pub mod family;
 pub mod geometry;
 pub mod grid;
-pub mod reference;
 pub mod resource;
 pub mod window;
 

@@ -1,12 +1,10 @@
 //! Property tests for the fabric window search (the physical-feasibility
 //! primitive under the Fig. 1 flow), plus the exhaustive equivalence
 //! suite for the composition index: [`fabric::DeviceGeometry`] must
-//! agree — start column, window bytes, everything — with both the frozen
-//! seed implementation ([`fabric::reference::MemoGeometry`]) and the
-//! uncached linear scan ([`Device::find_window`]) on every achievable
-//! composition of every database device and on random synthetic fabrics.
+//! agree — start column, window bytes, everything — with the uncached
+//! linear scan ([`Device::find_window`]) on every achievable composition
+//! of every database device and on random synthetic fabrics.
 
-use fabric::reference::MemoGeometry;
 use fabric::{ColumnKind, Device, DeviceGeometry, Family, ResourceKind, WindowRequest};
 use proptest::prelude::*;
 
@@ -113,16 +111,13 @@ proptest! {
         prop_assert!(starts.windows(2).all(|p| p[0] < p[1]));
     }
 
-    /// Three-way equivalence on random synthetic fabrics: the composition
-    /// index, the frozen seed memo, and the uncached linear scan return
-    /// identical windows (or identically nothing) for arbitrary requests.
+    /// Equivalence on random synthetic fabrics: the composition index and
+    /// the uncached linear scan return identical windows (or identically
+    /// nothing) for arbitrary requests.
     #[test]
-    fn index_memo_and_scan_agree(device in arb_device(), req in arb_request()) {
+    fn index_and_scan_agree(device in arb_device(), req in arb_request()) {
         let index = DeviceGeometry::new(&device);
-        let memo = MemoGeometry::new(&device);
-        let direct = device.find_window(&req);
-        prop_assert_eq!(index.find_window(&device, &req), direct.clone());
-        prop_assert_eq!(memo.find_window(&device, &req), direct);
+        prop_assert_eq!(index.find_window(&device, &req), device.find_window(&req));
     }
 }
 
@@ -156,17 +151,18 @@ fn compositions_to_probe(device: &Device) -> Vec<(u32, u32, u32)> {
 
 /// Exhaustive equivalence on the paper's device database: for every
 /// achievable (and near-miss) composition of every device, at every
-/// height from 1 through rows + 1, the composition index, the frozen
-/// seed memo, and the uncached scan agree exactly.
+/// height from 1 through rows + 1, the composition index and the
+/// uncached scan agree exactly.
 #[test]
 fn index_matches_reference_on_every_database_composition() {
     for device in fabric::all_devices() {
         let index = DeviceGeometry::new(&device);
-        let memo = MemoGeometry::new(&device);
         for (clb, dsp, bram) in compositions_to_probe(&device) {
             assert_eq!(
                 index.leftmost_start(clb, dsp, bram),
-                memo.leftmost_start(clb, dsp, bram),
+                device
+                    .find_window(&WindowRequest::new(clb, dsp, bram, 1))
+                    .map(|w| w.start_col),
                 "{}: leftmost start diverges for ({clb},{dsp},{bram})",
                 device.name()
             );
@@ -177,12 +173,6 @@ fn index_matches_reference_on_every_database_composition() {
                     index.find_window(&device, &req),
                     direct,
                     "{}: index vs scan diverge for ({clb},{dsp},{bram}) h={height}",
-                    device.name()
-                );
-                assert_eq!(
-                    memo.find_window(&device, &req),
-                    direct,
-                    "{}: memo vs scan diverge for ({clb},{dsp},{bram}) h={height}",
                     device.name()
                 );
             }

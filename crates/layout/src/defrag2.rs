@@ -9,7 +9,7 @@
 //! move vacated. This module searches those schedules with the same
 //! machinery that made `parflow::autofloorplan` fast:
 //!
-//! * **incremental layout state** — [`LayoutState`] copies the
+//! * **incremental layout state** — `LayoutState` copies the
 //!   [`FreeSpace`] row masks once per plan; applying or undoing a move
 //!   clears the bits of one span, sets those of the other and XORs two
 //!   hash keys, never a clone down the tree;
@@ -45,7 +45,7 @@
 //! count, then the admit-rectangle enumeration order (candidate starts
 //! ascending, base row ascending), then the first feasible sequence in
 //! canonical descent order (movers by ascending allocation id, targets
-//! leftmost-then-bottom). [`reference`] freezes an exhaustive
+//! leftmost-then-bottom). [`reference`](mod@reference) freezes an exhaustive
 //! clone-based enumeration of the same plan space as the equivalence
 //! oracle.
 //!

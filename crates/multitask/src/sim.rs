@@ -34,7 +34,7 @@
 //!   scratch per worker and records per-scenario wall time into the
 //!   `prcost::metrics` stage histograms.
 //!
-//! The seed implementation is frozen in [`reference`] as the equivalence
+//! The seed implementation is frozen in [`reference`](mod@reference) as the equivalence
 //! oracle: property tests assert the heap simulator produces an identical
 //! [`SimReport`] for random workloads, systems and schedulers.
 
@@ -67,7 +67,7 @@ pub struct SimReport {
     /// Sum of task execution times (ns) — invariant under scheduling.
     pub total_exec_ns: u64,
     /// Completed tasks that finished after their absolute deadline.
-    /// Always 0 for loss-system workloads (no [`HwTask::deadline_ns`]).
+    /// Always 0 for loss-system workloads (no [`HwTask::deadline_ns`](crate::task::HwTask::deadline_ns)).
     pub deadline_misses: u32,
     /// Sum of task response times: completion - arrival (ns).
     pub total_response_ns: u64,
@@ -259,7 +259,7 @@ pub fn simulate<S: Scheduler + ?Sized>(
 /// [`simulate`] with caller-provided working memory.
 ///
 /// Behaviourally identical to [`simulate`] (and to the frozen seed
-/// implementation in [`reference`]); reuses `scratch`'s buffers so
+/// implementation in [`reference`](mod@reference)); reuses `scratch`'s buffers so
 /// steady-state simulation performs no heap allocation.
 pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
     system: &PrSystem,

@@ -16,6 +16,7 @@
 use crate::preempt::PreemptiveTask;
 use crate::task::{HwTask, Workload};
 use core::fmt;
+use core::str::FromStr;
 use fabric::Resources;
 
 /// Trace parse errors.
@@ -101,22 +102,33 @@ pub fn parse_trace(text: &str) -> Result<Vec<PreemptiveTask>, TraceError> {
         if fields.len() < 7 {
             return Err(TraceError::TooFewFields { line });
         }
-        let num = |token: &str| -> Result<u64, TraceError> {
-            token.parse().map_err(|_| TraceError::BadNumber {
-                line,
-                token: token.to_string(),
-            })
-        };
         tasks.push(PreemptiveTask {
-            id: num(fields[0])? as u32,
+            id: num(fields[0], line)?,
             module: fields[1].to_string(),
-            needs: Resources::new(num(fields[2])?, num(fields[3])?, num(fields[4])?),
-            arrival_ns: num(fields[5])?,
-            exec_ns: num(fields[6])?,
-            priority: fields.get(7).map(|t| num(t)).transpose()?.unwrap_or(0) as u8,
+            needs: Resources::new(
+                num(fields[2], line)?,
+                num(fields[3], line)?,
+                num(fields[4], line)?,
+            ),
+            arrival_ns: num(fields[5], line)?,
+            exec_ns: num(fields[6], line)?,
+            priority: fields
+                .get(7)
+                .map(|t| num(t, line))
+                .transpose()?
+                .unwrap_or(0),
         });
     }
     Ok(tasks)
+}
+
+/// Parse one numeric field as the type it is stored in, so a value out of
+/// that type's range is a [`TraceError::BadNumber`], not a truncation.
+fn num<T: FromStr>(token: &str, line: usize) -> Result<T, TraceError> {
+    token.parse().map_err(|_| TraceError::BadNumber {
+        line,
+        token: token.to_string(),
+    })
 }
 
 /// Parse trace text into a non-preemptive [`Workload`] (priorities are

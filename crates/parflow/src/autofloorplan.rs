@@ -35,7 +35,7 @@
 //!
 //! The pre-optimization floorplanner — serial tree, raw
 //! `Device::find_window` probes, no dominance pruning — is frozen in
-//! [`reference`] as the benchmark baseline (`results/BENCH_floorplan.json`).
+//! [`reference`](mod@reference) as the benchmark baseline (`results/BENCH_floorplan.json`).
 
 use crate::floorplan::{AreaGroup, Floorplan};
 use core::fmt;

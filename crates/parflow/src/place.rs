@@ -18,7 +18,7 @@
 //! epoch stamps instead of a linear `seen` scan, and move proposals touch
 //! a fixed two-slot cell array. The pre-optimization placer — f64 cost,
 //! full recompute of every affected net twice per move, two `Vec`
-//! allocations per proposal — is frozen verbatim in [`reference`] as the
+//! allocations per proposal — is frozen verbatim in [`reference`](mod@reference) as the
 //! benchmark baseline, and `reference::total_cost_x16` is the
 //! full-recompute oracle the equivalence suite
 //! (`crates/parflow/tests/place_props.rs`) checks the incremental cost
@@ -326,7 +326,7 @@ struct ChainScratch {
 }
 
 /// Reusable placer working memory: slot tables, the flattened cell→net
-/// index and one [`ChainScratch`] per annealing chain. A fresh
+/// index and one `ChainScratch` per annealing chain. A fresh
 /// `PlaceScratch::default()` is always valid — results never depend on
 /// scratch contents, only allocation reuse does. Carry one per worker
 /// across `place_with_scratch` calls (mirroring `SimScratch` and
@@ -785,7 +785,7 @@ pub mod reference {
     //! draw. The live placer is benchmarked against it in
     //! `crates/bench/benches/place_incr.rs`.
     //!
-    //! [`total_cost_x16`] recomputes a placement's total HPWL from pins
+    //! `total_cost_x16` recomputes a placement's total HPWL from pins
     //! in the live placer's x16 fixed-point domain; the equivalence suite
     //! asserts the incremental total equals it at every accepted move.
 

@@ -10,7 +10,6 @@
 //! prfpga sweep [--json <file>] [--metrics <file>]
 //! prfpga defrag [--device <name>] [--seed S] [--tasks N] [--modules M] [--scale K] [--policy <p>] [--threshold R] [--depth N] [--interarrival NS] [--exec NS] [--proactive] [--json <file>]
 //! prfpga serve [--workers N] [--requests R] [--tenants T] [--modules M] [--seed S] [--scale K] [--state <file>] [--metrics <file>]
-//! prfpga bench-service [--requests R]
 //! prfpga bench-pipeline [--tasks N] [--device <name>] [--chunk C] [--modules M] [--scale K] [--prrs P] [--workers W|W1,W2,...] [--queue-depth Q] [--seed S] [--interarrival NS] [--exec NS] [--json <file>] [--metrics <file>]
 //! prfpga sched-ablate [--seed S] [--tasks N] [--horizon-ms H] [--episodes E] [--admission-sets K] [--slack F] [--json <file>]
 //! ```
@@ -37,7 +36,6 @@ fn main() -> ExitCode {
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("defrag") => cmd_defrag(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench-service") => cmd_bench_service(&args[1..]),
         Some("bench-pipeline") => cmd_bench_pipeline(&args[1..]),
         Some("sched-ablate") => cmd_sched_ablate(&args[1..]),
         _ => {
@@ -63,8 +61,6 @@ fn main() -> ExitCode {
                        [--scale K] [--state FILE] [--metrics FILE]\n\
                                                             run a request stream through the async\n\
                                                             planning service (snapshot warm starts)\n\
-                 bench-service [--requests R]               warm-memo replay: sharded engine vs the\n\
-                                                            frozen RwLock baseline\n\
                  bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]\n\
                                 [--scale K] [--prrs P] [--workers W|W1,W2,...]\n\
                                 [--queue-depth Q] [--seed S] [--interarrival NS]\n\
@@ -685,77 +681,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         std::fs::write(path, serde_json::to_string_pretty(&snapshot)?)?;
         println!("wrote metrics snapshot to {path}");
     }
-    Ok(())
-}
-
-/// Quick in-process check of the warm-memo replay speedup: the sharded
-/// engine against the frozen seed `engine::reference` baseline, on the
-/// paper PRM x device grid. The full table (worker scaling, p99,
-/// zero-alloc assertion) lives in `benches/service_mt.rs`.
-fn cmd_bench_service(args: &[String]) -> Result<(), AnyError> {
-    use prcost::engine::reference::ReferenceEngine;
-
-    let flags = Flags::parse(args, 0, &["--requests"], &[])?;
-    let requests: usize = flags.num("--requests", 200_000)?;
-
-    use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
-    let generators: Vec<Box<dyn PrmGenerator>> = vec![
-        Box::new(FirFilter::paper()),
-        Box::new(MipsCore::paper()),
-        Box::new(SdramController::paper()),
-        Box::new(Uart::standard()),
-        Box::new(AesEngine::standard()),
-        Box::new(FftCore::standard()),
-    ];
-    let devices = fabric::all_devices();
-    let points: Vec<(SynthReport, Device)> = devices
-        .iter()
-        .flat_map(|d| {
-            generators
-                .iter()
-                .map(|g| (g.synthesize(d.family()), d.clone()))
-        })
-        .collect();
-
-    let sharded = Engine::new();
-    let reference = ReferenceEngine::new();
-    let mut scratch = PlanScratch::default();
-    for (report, device) in &points {
-        let _ = sharded.plan_with_scratch(report, device, &mut scratch);
-        let _ = reference.plan(report, device);
-    }
-
-    let time = |f: &mut dyn FnMut()| -> f64 {
-        let start = std::time::Instant::now();
-        f();
-        start.elapsed().as_secs_f64()
-    };
-    let reference_s = time(&mut || {
-        for i in 0..requests {
-            let (report, device) = &points[i % points.len()];
-            let _ = std::hint::black_box(reference.plan(report, device));
-        }
-    });
-    let sharded_s = time(&mut || {
-        for i in 0..requests {
-            let (report, device) = &points[i % points.len()];
-            std::hint::black_box(sharded.plan_arc(report, device, &mut scratch));
-        }
-    });
-    println!(
-        "warm replay, {} hits over {} points:",
-        requests,
-        points.len()
-    );
-    println!(
-        "  reference (RwLock + owned keys): {:>10.0} plans/s",
-        requests as f64 / reference_s
-    );
-    println!(
-        "  sharded (interned + packed key): {:>10.0} plans/s  ({:.1}x)",
-        requests as f64 / sharded_s,
-        reference_s / sharded_s
-    );
     Ok(())
 }
 
