@@ -374,12 +374,29 @@ impl Engine {
     /// restored engine return byte-identical results to fresh planning.
     /// Replays are not lookups, so the plan counters start at zero; only
     /// `geometry_builds` reflects the reconstruction work done here.
+    ///
+    /// Before any of that, every device must pass [`Device::validate`]
+    /// and stay within [`MAX_SNAPSHOT_DEVICE_ROWS`] and
+    /// [`MAX_SNAPSHOT_DEVICE_COLUMNS`] ([`SnapshotError::InvalidDevice`]
+    /// otherwise), which bounds the geometry builds and replays.
     pub fn import_state(snapshot: &EngineSnapshot) -> Result<Engine, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::VersionMismatch {
                 found: snapshot.version,
                 supported: SNAPSHOT_VERSION,
             });
+        }
+        for (index, device) in snapshot.devices.iter().enumerate() {
+            if device.validate().is_err()
+                || device.rows() > MAX_SNAPSHOT_DEVICE_ROWS
+                || device.width() > MAX_SNAPSHOT_DEVICE_COLUMNS
+            {
+                return Err(SnapshotError::InvalidDevice {
+                    index,
+                    rows: device.rows(),
+                    columns: device.width(),
+                });
+            }
         }
         let engine = Engine::new();
         let interned: Vec<(DeviceId, Arc<DeviceEntry>)> = snapshot
@@ -423,6 +440,16 @@ impl Engine {
 /// Version tag of [`EngineSnapshot`]; bump on any layout change so stale
 /// snapshots are rejected instead of misread.
 pub const SNAPSHOT_VERSION: u32 = 1;
+
+/// Most fabric rows a snapshot device may have. Replaying a plan record
+/// evaluates every height, so rows bound the replay work. Database
+/// devices have at most 8 rows.
+pub const MAX_SNAPSHOT_DEVICE_ROWS: u32 = 1024;
+
+/// Most columns a snapshot device may have. The window geometry build is
+/// quadratic in the longest IOB/CLK-free run, so columns bound the import
+/// work. Database devices have about 100 columns.
+pub const MAX_SNAPSHOT_DEVICE_COLUMNS: usize = 1024;
 
 /// Serializable memo state of an [`Engine`]: interned devices (in
 /// [`DeviceId`] order), synthesis records, and whole-plan records — `Ok`
@@ -488,6 +515,17 @@ pub enum SnapshotError {
         /// Position of the record in [`EngineSnapshot::plans`].
         index: usize,
     },
+    /// A device has no rows or no columns, or more than
+    /// [`MAX_SNAPSHOT_DEVICE_ROWS`] rows or [`MAX_SNAPSHOT_DEVICE_COLUMNS`]
+    /// columns.
+    InvalidDevice {
+        /// Position of the device in [`EngineSnapshot::devices`].
+        index: usize,
+        /// Its fabric rows.
+        rows: u32,
+        /// Its column count.
+        columns: usize,
+    },
 }
 
 impl core::fmt::Display for SnapshotError {
@@ -504,6 +542,16 @@ impl core::fmt::Display for SnapshotError {
             SnapshotError::PlanMismatch { index } => write!(
                 f,
                 "plan record {index} does not match a fresh plan of its requirements"
+            ),
+            SnapshotError::InvalidDevice {
+                index,
+                rows,
+                columns,
+            } => write!(
+                f,
+                "snapshot device {index} has {rows} rows and {columns} columns; \
+                 a device needs 1..={MAX_SNAPSHOT_DEVICE_ROWS} rows and \
+                 1..={MAX_SNAPSHOT_DEVICE_COLUMNS} columns"
             ),
         }
     }

@@ -56,7 +56,9 @@ pub mod shard;
 pub mod timing;
 
 pub use bits::{bitstream_size_bytes, context_breakdown, BitstreamBreakdown, ContextBreakdown};
-pub use engine::{Engine, EngineSnapshot, SnapshotError};
+pub use engine::{
+    Engine, EngineSnapshot, SnapshotError, MAX_SNAPSHOT_DEVICE_COLUMNS, MAX_SNAPSHOT_DEVICE_ROWS,
+};
 pub use error::CostError;
 pub use full::{full_bitstream_size_bytes, FullBitstreamBreakdown};
 pub use metrics::{Metrics, MetricsSnapshot};

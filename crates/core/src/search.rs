@@ -33,11 +33,13 @@ use synth::SynthReport;
 /// DSP columns are scarce (1–12 per device in the database) and widely
 /// separated by CLB columns, so a window forced to swallow many extra DSP
 /// columns also swallows the CLB columns between them — which the
-/// unbounded CLB-padding axis already covers. The cap exists purely to
-/// bound the enumeration (≤ `(cap+1)²` DSP×BRAM combinations per CLB
-/// padding level); the padded search debug-asserts, and
-/// `padding_caps_lose_no_feasible_plan` in this module's tests verifies,
-/// that no database device loses a feasible plan to it.
+/// unbounded CLB-padding axis already covers. The search costs one
+/// CLB-list lookup per DSP×BRAM pair, so the cap no longer bounds any
+/// real work; it stays because it is part of the planning rule, and
+/// dropping it would have to be shown to change no plan first. The
+/// padded search debug-asserts, and `padding_caps_lose_no_feasible_plan`
+/// in this module's tests verifies, that no database device loses a
+/// feasible plan to it.
 pub const MAX_PAD_DSP_COLS: u32 = 4;
 
 /// Cap on the extra BRAM columns the padded-window fallback will absorb
@@ -69,7 +71,7 @@ enum CompResolution {
 /// Reusable per-worker scratch for the Fig. 1 search.
 ///
 /// Within one plan, each distinct base composition resolves once (an
-/// index probe, or one padded-fallback enumeration when no exact window
+/// index probe, or one padded-fallback search when no exact window
 /// exists) and serves every height that produces it. Across plans, the
 /// scratch remembers recently interned devices so a repeat plan against
 /// the same engine skips the interner. A fresh `PlanScratch::default()`
@@ -79,7 +81,7 @@ pub struct PlanScratch {
     /// Per-plan composition → resolution cache (linear map: a plan touches
     /// at most `rows` distinct compositions). Cleared at plan start.
     resolutions: Vec<((u32, u32, u32), CompResolution)>,
-    /// Cumulative count of padded-fallback enumerations resolved through
+    /// Cumulative count of padded-fallback searches resolved through
     /// this scratch (never reset; callers read deltas).
     padded_resolutions: u64,
     /// Recently resolved device interns, tagged with the owning engine's
@@ -96,8 +98,8 @@ pub struct PlanScratch {
 const DEVICE_CACHE_CAP: usize = 8;
 
 impl PlanScratch {
-    /// Cumulative number of padded-fallback resolutions (full padding
-    /// enumerations) performed through this scratch. Monotonic; the batch
+    /// Cumulative number of padded-fallback resolutions (padded searches)
+    /// performed through this scratch. Monotonic; the batch
     /// engine folds per-plan deltas into its metrics registry.
     pub fn padded_resolution_count(&self) -> u64 {
         self.padded_resolutions
@@ -396,7 +398,7 @@ fn evaluate_height_cached(
 
 /// Resolve how `org`'s base composition places on `device`, consulting the
 /// plan's resolution cache first. A cache miss costs one index probe
-/// (exact case) or one padded enumeration (fallback case); every later
+/// (exact case) or one padded search (fallback case); every later
 /// height with the same composition is a linear-map hit.
 fn resolve_composition(
     org: &PrrOrganization,
@@ -456,8 +458,17 @@ fn find_padded_composition(
 }
 
 /// [`find_padded_composition`] with explicit DSP/BRAM padding caps
-/// (`u32::MAX` is clamped by the device's column counts). Feasibility of
-/// each option is one index probe, so only feasible paddings are priced.
+/// (`u32::MAX` is clamped by the device's column counts).
+///
+/// Eq. 18 bytes grow with every column count, so for a fixed DSP/BRAM
+/// padding `(ed, eb)` the cheapest option is the least achievable CLB
+/// count at or above the requirement (one more when `ed + eb == 0`, so
+/// the padding is never empty): one [`DeviceGeometry::least_clb_cols`]
+/// lookup per pair (it returns only counts of real windows, so no CLB
+/// padding exceeds the device). Any larger CLB count for the same pair costs more
+/// bytes and more extra columns, so it can never be the winner. The
+/// explicit `[ec, ed, eb]` tail of the key reproduces the `(CLB, DSP,
+/// BRAM)` generation order of a full enumeration on ties.
 fn find_padded_composition_with_caps(
     org: &PrrOrganization,
     device: &Device,
@@ -466,7 +477,6 @@ fn find_padded_composition_with_caps(
     bram_cap: u32,
 ) -> Option<[u32; 3]> {
     let counts = device.column_counts();
-    let max_clb = (counts.clb() as u32).saturating_sub(org.clb_cols);
     let max_dsp = (counts.dsp() as u32)
         .saturating_sub(org.dsp_cols)
         .min(dsp_cap);
@@ -475,29 +485,24 @@ fn find_padded_composition_with_caps(
         .min(bram_cap);
 
     let mut best: Option<(u64, u32, [u32; 3])> = None;
-    for ec in 0..=max_clb {
-        for ed in 0..=max_dsp {
-            for eb in 0..=max_bram {
-                if ec + ed + eb == 0 {
-                    continue;
-                }
-                if geometry
-                    .leftmost_start(org.clb_cols + ec, org.dsp_cols + ed, org.bram_cols + eb)
-                    .is_none()
-                {
-                    continue;
-                }
-                let padded = PrrOrganization {
-                    clb_cols: org.clb_cols + ec,
-                    dsp_cols: org.dsp_cols + ed,
-                    bram_cols: org.bram_cols + eb,
-                    ..*org
-                };
-                let key = (bitstream_size_bytes(&padded), ec + ed + eb);
-                // Strict < keeps the earliest generated option on ties.
-                if best.is_none_or(|(bytes, pads, _)| key < (bytes, pads)) {
-                    best = Some((key.0, key.1, [ec, ed, eb]));
-                }
+    for ed in 0..=max_dsp {
+        for eb in 0..=max_bram {
+            let min_clb = org.clb_cols.saturating_add(u32::from(ed + eb == 0));
+            let Some(clb_cols) =
+                geometry.least_clb_cols(org.dsp_cols + ed, org.bram_cols + eb, min_clb)
+            else {
+                continue;
+            };
+            let ec = clb_cols - org.clb_cols;
+            let padded = PrrOrganization {
+                clb_cols,
+                dsp_cols: org.dsp_cols + ed,
+                bram_cols: org.bram_cols + eb,
+                ..*org
+            };
+            let key = (bitstream_size_bytes(&padded), ec + ed + eb, [ec, ed, eb]);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
             }
         }
     }
@@ -560,6 +565,7 @@ mod tests {
     use super::*;
     use fabric::database::{xc5vlx110t, xc6vlx75t};
     use fabric::Family;
+    use proptest::prelude::*;
     use synth::PaperPrm;
 
     /// A report claiming 2^64 − 1 BRAMs and DSPs cannot be hosted: every
@@ -778,6 +784,241 @@ mod tests {
         select_best(req, device, seed_candidates(req, device))
     }
 
+    /// The padded fallback as a full enumeration, frozen as the oracle for
+    /// the CLB-list search: probe the composition index for every
+    /// `(ec, ed, eb)` under the caps and keep the strict minimum of
+    /// `(bytes, pad_sum)`, so the first option generated wins ties.
+    fn triple_loop_padding(
+        org: &PrrOrganization,
+        device: &Device,
+        geometry: &DeviceGeometry,
+        dsp_cap: u32,
+        bram_cap: u32,
+    ) -> Option<[u32; 3]> {
+        let counts = device.column_counts();
+        let max_clb = (counts.clb() as u32).saturating_sub(org.clb_cols);
+        let max_dsp = (counts.dsp() as u32)
+            .saturating_sub(org.dsp_cols)
+            .min(dsp_cap);
+        let max_bram = (counts.bram() as u32)
+            .saturating_sub(org.bram_cols)
+            .min(bram_cap);
+        let mut best: Option<(u64, u32, [u32; 3])> = None;
+        for ec in 0..=max_clb {
+            for ed in 0..=max_dsp {
+                for eb in 0..=max_bram {
+                    if ec + ed + eb == 0 {
+                        continue;
+                    }
+                    if geometry
+                        .leftmost_start(org.clb_cols + ec, org.dsp_cols + ed, org.bram_cols + eb)
+                        .is_none()
+                    {
+                        continue;
+                    }
+                    let padded = PrrOrganization {
+                        clb_cols: org.clb_cols + ec,
+                        dsp_cols: org.dsp_cols + ed,
+                        bram_cols: org.bram_cols + eb,
+                        ..*org
+                    };
+                    let key = (bitstream_size_bytes(&padded), ec + ed + eb);
+                    if best.is_none_or(|(bytes, pads, _)| key < (bytes, pads)) {
+                        best = Some((key.0, key.1, [ec, ed, eb]));
+                    }
+                }
+            }
+        }
+        best.map(|(_, _, pad)| pad)
+    }
+
+    /// A random fabric for the padded-search oracle: the column mix of
+    /// `fabric`'s `window_props` generator (CLB-heavy, with BRAM columns
+    /// and IOB/CLK breaks) with 0–12 DSP columns spliced in, in one of
+    /// three families with different Eq. 18 constants.
+    fn arb_fabric() -> impl Strategy<Value = Device> {
+        use fabric::ResourceKind::{Bram, Clb, Clk, Dsp, Iob};
+        (
+            proptest::collection::vec(
+                prop_oneof![
+                    6 => Just(Clb),
+                    1 => Just(Bram),
+                    1 => Just(Iob),
+                    1 => Just(Clk),
+                ],
+                1..80,
+            ),
+            proptest::collection::vec(any::<usize>(), 0..13),
+            1u32..9,
+            0usize..3,
+        )
+            .prop_map(|(mut columns, dsp_at, rows, family)| {
+                for at in dsp_at {
+                    columns.insert(at % (columns.len() + 1), Dsp);
+                }
+                let family = [Family::Virtex5, Family::Virtex6, Family::Spartan6][family];
+                Device::new("prop", family, rows, columns).expect("non-empty")
+            })
+    }
+
+    /// A base composition for `device`: the CLB/DSP/BRAM counts of a
+    /// random column slice (IOB/CLK columns inside it are skipped, so the
+    /// slice need not be a window) less a few columns of each kind. Most
+    /// such bases have no exact window but pad to one.
+    fn slice_base(device: &Device, (start, len, less): (usize, usize, [u32; 3])) -> [u32; 3] {
+        let columns = device.columns();
+        let start = start % columns.len();
+        let mut counts = [0u32; 3];
+        for kind in &columns[start..(start + len).min(columns.len())] {
+            if kind.allowed_in_prr() {
+                counts[kind.prr_count_slot()] += 1;
+            }
+        }
+        [0, 1, 2].map(|i| counts[i].saturating_sub(less[i]))
+    }
+
+    fn arb_slice() -> impl Strategy<Value = (usize, usize, [u32; 3])> {
+        (any::<usize>(), 1usize..40, (0u32..4, 0u32..3, 0u32..3))
+            .prop_map(|(start, len, (c, d, b))| (start, len, [c, d, b]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The CLB-list search returns the full enumeration's padding,
+        /// ties included, on random fabrics and base compositions, with
+        /// the default caps and uncapped.
+        #[test]
+        fn padded_search_matches_triple_loop_on_random_fabrics(
+            device in arb_fabric(),
+            slices in proptest::collection::vec(arb_slice(), 1..8),
+            height in 1u32..9,
+        ) {
+            let geo = fabric::DeviceGeometry::new(&device);
+            for slice in slices {
+                let [clb_cols, dsp_cols, bram_cols] = slice_base(&device, slice);
+                let org = PrrOrganization {
+                    family: device.family(),
+                    height,
+                    clb_cols,
+                    dsp_cols,
+                    bram_cols,
+                };
+                for (dsp_cap, bram_cap) in
+                    [(MAX_PAD_DSP_COLS, MAX_PAD_BRAM_COLS), (u32::MAX, u32::MAX)]
+                {
+                    prop_assert_eq!(
+                        find_padded_composition_with_caps(&org, &device, &geo, dsp_cap, bram_cap),
+                        triple_loop_padding(&org, &device, &geo, dsp_cap, bram_cap),
+                        "{:?} caps ({}, {}) on {:?}",
+                        org,
+                        dsp_cap,
+                        bram_cap,
+                        device.columns()
+                    );
+                }
+            }
+        }
+
+        /// A random fabric followed by the tie gadget, in a family where
+        /// the gadget ties: the gadget's base pads to the tie unless the
+        /// random columns offer a cheaper window, so tie-breaking is
+        /// checked on random fabrics too.
+        #[test]
+        fn padded_search_matches_triple_loop_on_ties(
+            noise in arb_fabric(),
+            c0 in 2u32..6,
+            y_first in any::<bool>(),
+            series7 in any::<bool>(),
+            height in 1u32..9,
+        ) {
+            let family = if series7 { Family::Series7 } else { Family::Virtex6 };
+            let columns = [
+                noise.columns(),
+                &[fabric::ResourceKind::Iob],
+                &tie_gadget(c0, y_first),
+            ]
+            .concat();
+            let device = Device::new("prop", family, noise.rows(), columns).unwrap();
+            let geo = fabric::DeviceGeometry::new(&device);
+            let org = PrrOrganization {
+                family,
+                height,
+                clb_cols: c0,
+                dsp_cols: 1,
+                bram_cols: 1,
+            };
+            for (dsp_cap, bram_cap) in [(MAX_PAD_DSP_COLS, MAX_PAD_BRAM_COLS), (u32::MAX, u32::MAX)] {
+                prop_assert_eq!(
+                    find_padded_composition_with_caps(&org, &device, &geo, dsp_cap, bram_cap),
+                    triple_loop_padding(&org, &device, &geo, dsp_cap, bram_cap),
+                    "{:?} caps ({}, {}) on {:?}",
+                    org,
+                    dsp_cap,
+                    bram_cap,
+                    device.columns()
+                );
+            }
+        }
+    }
+
+    /// Two paddings can tie on `(bytes, pad_sum)` only across ≥ 15 extra
+    /// DSP columns: on Virtex-6 and 7-series, `(+16, 0, 0)` and
+    /// `(0, +15, +1)` price alike. This gadget holds one window of each
+    /// for the base `(c0, 1, 1)` (`c0 ≥ 2`) and no other window that
+    /// holds the base, so only the `(CLB, DSP, BRAM)` generation order
+    /// decides between them: `(0, 15, 1)` comes first.
+    fn tie_gadget(c0: u32, y_first: bool) -> Vec<fabric::ResourceKind> {
+        use fabric::ResourceKind::{Bram, Clb, Dsp, Iob};
+        let mut x = vec![Dsp];
+        x.extend(std::iter::repeat_n(Clb, c0 as usize + 16));
+        x.push(Bram);
+        let mut y = vec![Clb];
+        y.extend(std::iter::repeat_n(Dsp, 16));
+        y.extend([Bram, Bram]);
+        y.extend(std::iter::repeat_n(Clb, c0 as usize - 1));
+        if y_first {
+            [y, vec![Iob], x].concat()
+        } else {
+            [x, vec![Iob], y].concat()
+        }
+    }
+
+    #[test]
+    fn padding_ties_break_in_generation_order() {
+        for family in [Family::Virtex6, Family::Series7] {
+            for c0 in 2u32..6 {
+                for y_first in [false, true] {
+                    let device = Device::new("tie", family, 2, tie_gadget(c0, y_first)).unwrap();
+                    let geo = fabric::DeviceGeometry::new(&device);
+                    let org = PrrOrganization {
+                        family,
+                        height: 2,
+                        clb_cols: c0,
+                        dsp_cols: 1,
+                        bram_cols: 1,
+                    };
+                    let price = |pad: [u32; 3]| {
+                        bitstream_size_bytes(&PrrOrganization {
+                            clb_cols: c0 + pad[0],
+                            dsp_cols: 1 + pad[1],
+                            bram_cols: 1 + pad[2],
+                            ..org
+                        })
+                    };
+                    assert_eq!(price([16, 0, 0]), price([0, 15, 1]));
+                    let oracle = triple_loop_padding(&org, &device, &geo, u32::MAX, u32::MAX);
+                    assert_eq!(oracle, Some([0, 15, 1]));
+                    assert_eq!(
+                        find_padded_composition_with_caps(&org, &device, &geo, u32::MAX, u32::MAX),
+                        oracle,
+                        "{family:?} c0={c0}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Every live entry point against the seed oracle on one point: plans
     /// (traces and errors included) and full candidate vectors, with one
     /// scratch reused across points.
@@ -938,7 +1179,7 @@ mod tests {
         assert!(resolved >= 1);
         assert!(
             resolved <= distinct.len() as u64,
-            "padded enumeration must run at most once per composition \
+            "padded search must run at most once per composition \
              ({resolved} runs for {} distinct compositions)",
             distinct.len()
         );

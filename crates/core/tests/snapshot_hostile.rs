@@ -7,12 +7,16 @@
 //! exported one: a plan record's `result` changed, its `req` swapped with
 //! another record's or replaced by huge numbers, its device index out of
 //! range, and devices with zero rows or no columns (which `Device::new`
-//! refuses but deserialization does not).
+//! refuses but deserialization does not) or with absurd row or column
+//! counts. Such devices are rejected before any geometry build or replay.
 
 use fabric::database::{xc5vlx110t, xc6vlx75t};
-use fabric::{Device, Family};
+use fabric::{Device, Family, ResourceKind};
 use prcost::search::plan_prr_from_requirements;
-use prcost::{CostError, Engine, EngineSnapshot, PlanScratch, PrrRequirements, SnapshotError};
+use prcost::{
+    CostError, Engine, EngineSnapshot, PlanScratch, PrrRequirements, SnapshotError,
+    MAX_SNAPSHOT_DEVICE_COLUMNS, MAX_SNAPSHOT_DEVICE_ROWS,
+};
 use proptest::prelude::*;
 use synth::PaperPrm;
 
@@ -48,24 +52,30 @@ fn fresh(snapshot: &EngineSnapshot, index: usize) -> Result<prcost::PrrPlan, Cos
     )
 }
 
-/// `device` with zero rows and/or no columns, edited through its
+/// `device` with its rows and/or columns replaced, edited through its
 /// serialized form as a tampered file would carry it.
-fn degenerate(device: &Device, zero_rows: bool, no_columns: bool) -> Device {
+fn edited(device: &Device, rows: Option<u32>, columns: Option<usize>) -> Device {
     use serde_json::Value;
     let Value::Object(mut fields) = serde_json::to_value(device).unwrap() else {
         unreachable!("a device serializes to an object")
     };
+    let clb = serde_json::to_value(ResourceKind::Clb).unwrap();
     for (key, value) in &mut fields {
-        match key.as_str() {
-            "rows" if zero_rows => *value = Value::UInt(0),
-            "columns" if no_columns => *value = Value::Array(Vec::new()),
+        match (key.as_str(), rows, columns) {
+            ("rows", Some(rows), _) => *value = Value::UInt(u64::from(rows)),
+            ("columns", _, Some(n)) => *value = Value::Array(vec![clb.clone(); n]),
             _ => {}
         }
     }
     let edited: Device = serde_json::from_value(&Value::Object(fields)).unwrap();
-    assert!(!zero_rows || edited.rows() == 0);
-    assert!(!no_columns || edited.columns().is_empty());
+    assert!(rows.is_none_or(|r| edited.rows() == r));
+    assert!(columns.is_none_or(|n| edited.width() == n));
     edited
+}
+
+/// `device` with zero rows and/or no columns.
+fn degenerate(device: &Device, zero_rows: bool, no_columns: bool) -> Device {
+    edited(device, zero_rows.then_some(0), no_columns.then_some(0))
 }
 
 /// Either the import failed, or every plan the restored engine holds
@@ -190,32 +200,63 @@ fn huge_requirement_numbers_replay_or_are_rejected() {
     }
 }
 
+/// Devices that `Device::new` refuses are rejected before any replay,
+/// even when every record holds its fresh result.
 #[test]
 fn degenerate_devices_replay_or_are_rejected() {
     let snapshot = exported();
     for (zero_rows, no_columns) in [(true, false), (false, true), (true, true)] {
         let mut tampered = snapshot.clone();
         tampered.devices[0] = degenerate(&snapshot.devices[0], zero_rows, no_columns);
-        let index = tampered
-            .plans
-            .iter()
-            .position(|r| r.device == 0 && r.result.is_ok())
-            .unwrap();
-        // The recorded feasible plan no longer holds on the edited device.
-        assert_eq!(
-            Engine::import_state(&tampered).err(),
-            Some(SnapshotError::PlanMismatch { index })
-        );
-        // With every device-0 record set to its fresh result, the import
-        // is accepted and serves exactly fresh planning.
+        let expected = Some(SnapshotError::InvalidDevice {
+            index: 0,
+            rows: tampered.devices[0].rows(),
+            columns: tampered.devices[0].width(),
+        });
+        assert_eq!(Engine::import_state(&tampered).err(), expected);
         for i in 0..tampered.plans.len() {
             if tampered.plans[i].device == 0 {
                 tampered.plans[i].result = fresh(&tampered, i);
             }
         }
-        assert!(Engine::import_state(&tampered).is_ok());
-        assert_never_poisoned(&tampered).unwrap();
+        assert_eq!(Engine::import_state(&tampered).err(), expected);
     }
+}
+
+/// Absurd row and column counts would make the import's geometry build
+/// and plan replay unbounded work; they are rejected at once, and the
+/// bounds themselves still import.
+#[test]
+fn absurd_device_sizes_are_rejected() {
+    let snapshot = exported();
+    let index = 1;
+    for (rows, columns) in [
+        (Some(u32::MAX), None),
+        (Some(MAX_SNAPSHOT_DEVICE_ROWS + 1), None),
+        (None, Some(1 << 20)),
+        (None, Some(MAX_SNAPSHOT_DEVICE_COLUMNS + 1)),
+    ] {
+        let mut tampered = snapshot.clone();
+        tampered.devices[index] = edited(&snapshot.devices[index], rows, columns);
+        assert_eq!(
+            Engine::import_state(&tampered).err(),
+            Some(SnapshotError::InvalidDevice {
+                index,
+                rows: tampered.devices[index].rows(),
+                columns: tampered.devices[index].width(),
+            })
+        );
+    }
+    let mut at_bounds = snapshot.clone();
+    at_bounds.devices[index] = edited(
+        &snapshot.devices[index],
+        Some(MAX_SNAPSHOT_DEVICE_ROWS),
+        Some(MAX_SNAPSHOT_DEVICE_COLUMNS),
+    );
+    for i in 0..at_bounds.plans.len() {
+        at_bounds.plans[i].result = fresh(&at_bounds, i);
+    }
+    assert!(Engine::import_state(&at_bounds).is_ok());
 }
 
 /// One edit a tampered snapshot can carry.
@@ -286,7 +327,8 @@ proptest! {
 
     /// Any mix of edits gives `Err` or an engine that plans like a fresh
     /// one; with the edited records' results reset to their fresh value,
-    /// the import also succeeds whenever every device index is in range.
+    /// the import also succeeds whenever every device index is in range
+    /// and every device is valid.
     #[test]
     fn edited_snapshots_never_poison_the_memo(
         edits in proptest::collection::vec(edit(), 1..5),
@@ -301,7 +343,8 @@ proptest! {
             .plans
             .iter()
             .all(|r| (r.device as usize) < snapshot.devices.len());
-        if in_range {
+        let valid = snapshot.devices.iter().all(|d| d.validate().is_ok());
+        if in_range && valid {
             for i in 0..snapshot.plans.len() {
                 snapshot.plans[i].result = fresh(&snapshot, i);
             }

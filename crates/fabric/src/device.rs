@@ -38,15 +38,24 @@ impl Device {
         rows: u32,
         columns: Vec<ColumnKind>,
     ) -> Result<Self, FabricError> {
-        if rows == 0 || columns.is_empty() {
-            return Err(FabricError::EmptyFabric);
-        }
-        Ok(Device {
+        let device = Device {
             name: name.into(),
             family,
             rows,
             columns,
-        })
+        };
+        device.validate()?;
+        Ok(device)
+    }
+
+    /// The checks [`Device::new`] applies: at least one row and one
+    /// column. A device that did not come through [`Device::new`] — one
+    /// deserialized from a file, above all — should pass them before use.
+    pub fn validate(&self) -> Result<(), FabricError> {
+        if self.rows == 0 || self.columns.is_empty() {
+            return Err(FabricError::EmptyFabric);
+        }
+        Ok(())
     }
 
     /// Build a device from run-length column segments.

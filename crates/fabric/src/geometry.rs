@@ -1,9 +1,10 @@
 //! Composition-indexed device geometry: every window-feasibility probe is
-//! a lock-free O(1) hash lookup against an index built once per device.
+//! a lock-free lookup against an index built once per device.
 //!
 //! The Fig. 1 search probes the same device with many
 //! [`WindowRequest`]s: one per candidate height, and — when a height has
-//! no exact-composition window — hundreds more for padded organizations.
+//! no exact-composition window — one more per `(W_DSP, W_BRAM)` padding
+//! pair for the cheapest padded organization.
 //! [`Device::find_window`] answers each probe by rescanning the column
 //! list and tallying every candidate span (O(columns × width) per probe).
 //!
@@ -21,6 +22,15 @@
 //! resulting table is immutable, so probes are lock-free and shared
 //! geometry scales linearly across sweep worker threads.
 //!
+//! The same walk also files every achievable composition under its
+//! `(W_DSP, W_BRAM)` pair as an ascending list of achievable `W_CLB`
+//! counts. [`DeviceGeometry::least_clb_cols`] answers "the fewest CLB
+//! columns ≥ a floor that some window pairs with exactly these DSP and
+//! BRAM columns" with one binary search. Eq. 18 bytes grow with every
+//! column count, so that is the cheapest padding for the pair, and the
+//! padded fallback needs one such lookup per pair instead of a probe per
+//! CLB count.
+//!
 //! A composition absent from the index has no window on the device, and
 //! the zero composition `(0, 0, 0)` is never indexed (spans have width
 //! ≥ 1) — both return `None`, exactly as the rescan does. Results are
@@ -30,6 +40,7 @@
 
 use crate::device::Device;
 use crate::window::{Window, WindowRequest};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
@@ -41,10 +52,10 @@ fn comp_key(clb: u32, dsp: u32, bram: u32) -> u64 {
     (u64::from(clb) << 42) | (u64::from(dsp) << 21) | u64::from(bram)
 }
 
-/// Single-multiply hasher for the packed composition keys. The padded
-/// fallback probes the index hundreds of times per resolution, so probe
-/// latency matters: this replaces SipHash with a splitmix64 finalizer —
-/// a few ALU ops, well-mixed low bits for the table's bucket selection.
+/// Single-multiply hasher for the packed composition keys. Every
+/// candidate height of every plan probes the index, so probe latency
+/// matters: this replaces SipHash with a splitmix64 finalizer — a few
+/// ALU ops, well-mixed low bits for the table's bucket selection.
 #[derive(Default)]
 struct CompKeyHasher(u64);
 
@@ -66,7 +77,8 @@ impl Hasher for CompKeyHasher {
 }
 
 /// Precomputed window-search geometry for one [`Device`]: a read-only
-/// composition → leftmost-start index.
+/// composition → leftmost-start index, plus the achievable CLB counts of
+/// each `(W_DSP, W_BRAM)` pair.
 #[derive(Debug)]
 pub struct DeviceGeometry {
     rows: u32,
@@ -79,6 +91,15 @@ pub struct DeviceGeometry {
     /// matching span. Immutable after construction; absent ⇒ no window
     /// exists.
     index: HashMap<u64, u32, BuildHasherDefault<CompKeyHasher>>,
+    /// Every achievable `W_CLB` count, grouped by `(W_DSP, W_BRAM)` and
+    /// ascending within a group.
+    clb_counts: Vec<u32>,
+    /// `clb_ranges[dsp * bram_dim + bram]` is the `clb_counts` range of
+    /// the pair `(dsp, bram)`; empty when no window has that pair.
+    clb_ranges: Vec<(u32, u32)>,
+    /// One more than the largest achievable `W_BRAM` (the row stride of
+    /// `clb_ranges`); 0 when nothing is achievable.
+    bram_dim: usize,
     probes: AtomicU64,
 }
 
@@ -89,25 +110,50 @@ impl DeviceGeometry {
     /// then for each start column in each run extends the span rightward
     /// with O(1) incremental counts, interning every composition on first
     /// sight (ascending start order ⇒ the stored start is the leftmost).
+    /// Each newly interned composition is also filed under its
+    /// `(W_DSP, W_BRAM)` pair for [`Self::least_clb_cols`].
     pub fn new(device: &Device) -> Self {
         let columns = device.columns();
         let mut index: HashMap<u64, u32, BuildHasherDefault<CompKeyHasher>> = HashMap::default();
+        // Distinct compositions as `(dsp, bram, clb)`; sorted below into
+        // the per-pair CLB lists.
+        let mut by_pair: Vec<(u32, u32, u32)> = Vec::new();
         for run in device.prr_free_runs() {
             for start in run.clone() {
                 let mut counts = [0u32; 3];
                 for &kind in &columns[start..run.end] {
                     counts[kind.prr_count_slot()] += 1;
-                    index
-                        .entry(comp_key(counts[0], counts[1], counts[2]))
-                        .or_insert(start as u32);
+                    let [clb, dsp, bram] = counts;
+                    if let Entry::Vacant(slot) = index.entry(comp_key(clb, dsp, bram)) {
+                        slot.insert(start as u32);
+                        by_pair.push((dsp, bram, clb));
+                    }
                 }
             }
+        }
+        by_pair.sort_unstable();
+        let dsp_dim = by_pair.last().map_or(0, |&(dsp, ..)| dsp as usize + 1);
+        let bram_dim = by_pair
+            .iter()
+            .map(|&(_, bram, _)| bram as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut clb_ranges = vec![(0u32, 0u32); dsp_dim * bram_dim];
+        let mut end = 0u32;
+        for group in by_pair.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (dsp, bram, _) = group[0];
+            let start = end;
+            end += group.len() as u32;
+            clb_ranges[dsp as usize * bram_dim + bram as usize] = (start, end);
         }
         DeviceGeometry {
             rows: device.rows(),
             width: device.width(),
             source_hash: device.layout_hash(),
             index,
+            clb_counts: by_pair.into_iter().map(|(_, _, clb)| clb).collect(),
+            clb_ranges,
+            bram_dim,
             probes: AtomicU64::new(0),
         }
     }
@@ -150,6 +196,25 @@ impl DeviceGeometry {
             .map(|&s| s as usize)
     }
 
+    /// The fewest CLB columns, at least `min_clb`, of any window holding
+    /// exactly `dsp` DSP and `bram` BRAM columns (and no IOB/CLK), or
+    /// `None` when no such window exists. One binary search over the
+    /// pair's ascending CLB counts; counts as one probe.
+    pub fn least_clb_cols(&self, dsp: u32, bram: u32, min_clb: u32) -> Option<u32> {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        let (dsp, bram) = (dsp as usize, bram as usize);
+        if bram >= self.bram_dim {
+            return None;
+        }
+        let &(start, end) = self
+            .clb_ranges
+            .get(dsp.checked_mul(self.bram_dim)? + bram)?;
+        let counts = &self.clb_counts[start as usize..end as usize];
+        counts
+            .get(counts.partition_point(|&clb| clb < min_clb))
+            .copied()
+    }
+
     /// Leftmost window matching `req` on `device`, behaviorally identical
     /// to [`Device::find_window`] but answered from the composition index.
     ///
@@ -177,17 +242,20 @@ impl DeviceGeometry {
         self.index.len() as u64
     }
 
-    /// Total composition-index probes answered (via [`Self::leftmost_start`],
-    /// directly or through [`Self::find_window`]).
+    /// Total probes answered: composition-index lookups (via
+    /// [`Self::leftmost_start`], directly or through [`Self::find_window`])
+    /// plus CLB-list lookups ([`Self::least_clb_cols`]).
     pub fn probe_count(&self) -> u64 {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Approximate resident size of the composition index in bytes
-    /// (allocated key/value slots; excludes the hash table's control
+    /// Approximate resident size of the composition index and the CLB
+    /// lists in bytes (allocated slots; excludes the hash table's control
     /// metadata, so treat it as a lower-bound estimate).
     pub fn index_bytes(&self) -> usize {
         self.index.capacity() * mem::size_of::<(u64, u32)>()
+            + self.clb_counts.capacity() * mem::size_of::<u32>()
+            + self.clb_ranges.capacity() * mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -198,6 +266,7 @@ mod tests {
     use crate::database::all_devices;
     use crate::family::Family;
     use crate::resource::ResourceKind::*;
+    use std::collections::BTreeSet;
 
     fn tiny() -> Device {
         Device::from_spec(
@@ -282,28 +351,34 @@ mod tests {
         assert_eq!(geo.probe_count(), 0);
     }
 
+    /// Brute force over every span of `d`: each IOB/CLK-free span's
+    /// composition `(clb, dsp, bram)` with its leftmost start column.
+    fn span_compositions(d: &Device) -> HashMap<(u32, u32, u32), u32> {
+        let cols = d.columns();
+        let mut found = HashMap::new();
+        for start in 0..cols.len() {
+            for end in start + 1..=cols.len() {
+                let span = &cols[start..end];
+                if span.iter().any(|k| !k.allowed_in_prr()) {
+                    continue;
+                }
+                let mut c = [0u32; 3];
+                for k in span {
+                    c[k.prr_count_slot()] += 1;
+                }
+                found.entry((c[0], c[1], c[2])).or_insert(start as u32);
+            }
+        }
+        found
+    }
+
     #[test]
     fn index_enumerates_every_achievable_composition() {
-        // Brute-force every span of every database device: each clean span's
-        // composition must be indexed with the leftmost matching start, and
-        // nothing else may be indexed.
+        // Each clean span's composition must be indexed with the leftmost
+        // matching start, and nothing else may be indexed.
         for d in all_devices() {
             let geo = DeviceGeometry::new(&d);
-            let cols = d.columns();
-            let mut expected: HashMap<(u32, u32, u32), u32> = HashMap::new();
-            for start in 0..cols.len() {
-                for end in start + 1..=cols.len() {
-                    let span = &cols[start..end];
-                    if span.iter().any(|k| !k.allowed_in_prr()) {
-                        continue;
-                    }
-                    let mut c = [0u32; 3];
-                    for k in span {
-                        c[k.prr_count_slot()] += 1;
-                    }
-                    expected.entry((c[0], c[1], c[2])).or_insert(start as u32);
-                }
-            }
+            let expected = span_compositions(&d);
             assert_eq!(
                 geo.distinct_compositions(),
                 expected.len() as u64,
@@ -318,6 +393,43 @@ mod tests {
                     d.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn least_clb_cols_matches_span_scan_on_database() {
+        // For every (dsp, bram) pair up to one past the device's counts
+        // and every CLB floor up to one past its CLB columns, the lookup
+        // returns the least brute-forced CLB count at or above the floor.
+        for d in all_devices() {
+            let geo = DeviceGeometry::new(&d);
+            let by_pair: BTreeSet<(u32, u32, u32)> = span_compositions(&d)
+                .into_keys()
+                .map(|(clb, dsp, bram)| (dsp, bram, clb))
+                .collect();
+            let counts = d.column_counts();
+            let [clb_max, dsp_max, bram_max] =
+                [counts.clb(), counts.dsp(), counts.bram()].map(|n| n as u32 + 1);
+            let mut lookups = 0;
+            for dsp in 0..=dsp_max {
+                for bram in 0..=bram_max {
+                    for min_clb in 0..=clb_max {
+                        let expected = by_pair
+                            .range((dsp, bram, min_clb)..=(dsp, bram, u32::MAX))
+                            .next()
+                            .map(|&(_, _, clb)| clb);
+                        assert_eq!(
+                            geo.least_clb_cols(dsp, bram, min_clb),
+                            expected,
+                            "{} dsp={dsp} bram={bram} min_clb={min_clb}",
+                            d.name()
+                        );
+                        lookups += 1;
+                    }
+                }
+            }
+            assert_eq!(geo.least_clb_cols(u32::MAX, u32::MAX, 0), None);
+            assert_eq!(geo.probe_count(), lookups + 1, "{}", d.name());
         }
     }
 }

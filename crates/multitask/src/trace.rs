@@ -12,12 +12,31 @@
 //!
 //! Fields are whitespace-separated; `#` starts a comment; priority is
 //! optional (default 0).
+//!
+//! A trace must also fit the simulators' `u64` nanosecond clock and sums:
+//! [`parse_trace`] rejects one whose time horizon passes
+//! [`MAX_TRACE_HORIZON_NS`] ([`TraceError::HorizonTooLong`]).
 
 use crate::preempt::PreemptiveTask;
 use crate::task::{HwTask, Workload};
 use core::fmt;
 use core::str::FromStr;
 use fabric::Resources;
+
+/// Bound on a trace's time horizon: the task count times (latest arrival
+/// plus total execution time), in ns.
+///
+/// The simulators keep their clock and their sums in `u64` nanoseconds
+/// without overflow checks in the event loop. Their clock never passes
+/// the latest arrival plus all execution, reconfiguration and context
+/// transfer time, and each per-task sum (waiting, response) is at most
+/// the task count times that. Capping the trace's part at 2^62 ns leaves
+/// three quarters of the `u64` range for the time the PR system adds:
+/// the sums stay in range while tasks² × the longest transfer is below
+/// 3·2^62 ns (a million tasks at 10 ms per reconfiguration still fit).
+/// The cap is far past any real trace: 10⁶ tasks may still span
+/// 4.6·10¹² ns (over an hour).
+pub const MAX_TRACE_HORIZON_NS: u64 = 1 << 62;
 
 /// Trace parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +53,12 @@ pub enum TraceError {
         /// The offending token.
         token: String,
     },
+    /// With this line the trace's time horizon passes
+    /// [`MAX_TRACE_HORIZON_NS`].
+    HorizonTooLong {
+        /// 1-based line number.
+        line: usize,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -45,6 +70,11 @@ impl fmt::Display for TraceError {
             TraceError::BadNumber { line, token } => {
                 write!(f, "line {line}: cannot parse number from {token:?}")
             }
+            TraceError::HorizonTooLong { line } => write!(
+                f,
+                "line {line}: tasks x (latest arrival + total execution) passes \
+                 {MAX_TRACE_HORIZON_NS} ns, too long to simulate"
+            ),
         }
     }
 }
@@ -90,8 +120,13 @@ pub fn write_workload(workload: &Workload) -> String {
 }
 
 /// Parse trace text into prioritized tasks.
+///
+/// Besides malformed lines, a trace whose time horizon passes
+/// [`MAX_TRACE_HORIZON_NS`] is an error, at the first line that takes it
+/// past.
 pub fn parse_trace(text: &str) -> Result<Vec<PreemptiveTask>, TraceError> {
-    let mut tasks = Vec::new();
+    let mut tasks: Vec<PreemptiveTask> = Vec::new();
+    let (mut latest_arrival, mut total_exec) = (0u64, 0u64);
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let content = raw.split('#').next().unwrap_or("").trim();
@@ -102,7 +137,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<PreemptiveTask>, TraceError> {
         if fields.len() < 7 {
             return Err(TraceError::TooFewFields { line });
         }
-        tasks.push(PreemptiveTask {
+        let task = PreemptiveTask {
             id: num(fields[0], line)?,
             module: fields[1].to_string(),
             needs: Resources::new(
@@ -117,7 +152,15 @@ pub fn parse_trace(text: &str) -> Result<Vec<PreemptiveTask>, TraceError> {
                 .map(|t| num(t, line))
                 .transpose()?
                 .unwrap_or(0),
-        });
+        };
+        latest_arrival = latest_arrival.max(task.arrival_ns);
+        total_exec = total_exec.saturating_add(task.exec_ns);
+        let horizon =
+            u128::from(latest_arrival.saturating_add(total_exec)) * (tasks.len() as u128 + 1);
+        if horizon > u128::from(MAX_TRACE_HORIZON_NS) {
+            return Err(TraceError::HorizonTooLong { line });
+        }
+        tasks.push(task);
     }
     Ok(tasks)
 }
@@ -200,6 +243,29 @@ mod tests {
         assert_eq!(tasks[0].id, 3);
         assert_eq!(tasks[0].priority, 0);
         assert_eq!(tasks[0].needs.clb(), 5);
+    }
+
+    #[test]
+    fn horizon_past_the_bound_is_an_error() {
+        let line = |arrival: u64, exec: u64| format!("0 m 1 0 0 {arrival} {exec}\n");
+        // One task: its arrival plus its execution is the horizon.
+        assert!(parse_trace(&line(MAX_TRACE_HORIZON_NS - 5, 5)).is_ok());
+        assert_eq!(
+            parse_trace(&line(MAX_TRACE_HORIZON_NS - 5, 6)),
+            Err(TraceError::HorizonTooLong { line: 1 })
+        );
+        // Two tasks count the latest arrival plus both executions twice.
+        let half = MAX_TRACE_HORIZON_NS / 2;
+        let two = |arrival: u64| format!("{}{}", line(arrival, 5), line(0, 5));
+        assert!(parse_trace(&two(half - 10)).is_ok());
+        assert_eq!(
+            parse_trace(&two(half - 9)),
+            Err(TraceError::HorizonTooLong { line: 2 })
+        );
+        assert_eq!(
+            parse_trace(&line(u64::MAX, u64::MAX)),
+            Err(TraceError::HorizonTooLong { line: 1 })
+        );
     }
 
     #[test]

@@ -11,10 +11,18 @@
 //! output with lines dropped or duplicated, and with fields replaced by
 //! arbitrary tokens, including values just past `u8::MAX`, `u32::MAX` and
 //! `u64::MAX`.
+//!
+//! Times are also hostile: a trace whose horizon passes
+//! `MAX_TRACE_HORIZON_NS` is an error, and every trace that parses must
+//! simulate, preemptively or not, without an arithmetic overflow.
 
+use bitstream::IcapModel;
+use fabric::database::xc5vlx110t;
 use fabric::Resources;
 use multitask::preempt::PreemptiveTask;
-use multitask::trace::{parse_trace, write_trace, TraceError};
+use multitask::trace::{parse_trace, write_trace, TraceError, MAX_TRACE_HORIZON_NS};
+use multitask::{simulate, simulate_preemptive, HwTask, PrSystem, ReuseAware, Workload};
+use prcost::PrrOrganization;
 use proptest::prelude::*;
 
 /// Parse `text`; when it is accepted, its tasks must round-trip through
@@ -54,6 +62,64 @@ fn piece() -> impl Strategy<Value = String> {
     ]
 }
 
+/// The error `parse_trace` owes `tasks` as written by `write_trace` (two
+/// header lines, then one line per task): the first line at which the
+/// task count times (latest arrival + total execution) passes the bound,
+/// recomputed here in `u128`.
+fn horizon_error(tasks: &[PreemptiveTask]) -> Option<TraceError> {
+    let (mut latest, mut exec) = (0u128, 0u128);
+    for (i, t) in tasks.iter().enumerate() {
+        latest = latest.max(u128::from(t.arrival_ns));
+        exec += u128::from(t.exec_ns);
+        if (latest + exec) * (i as u128 + 1) > u128::from(MAX_TRACE_HORIZON_NS) {
+            return Some(TraceError::HorizonTooLong { line: i + 3 });
+        }
+    }
+    None
+}
+
+/// Simulate `tasks` the way `prfpga simulate --trace` does (xc5vlx110t,
+/// two 3-CLB-column PRRs of height 1), both preemptively and not. Any
+/// overflow in the simulators panics here, in a debug build.
+fn simulate_both(tasks: &[PreemptiveTask]) {
+    let device = xc5vlx110t();
+    let org = PrrOrganization {
+        family: device.family(),
+        height: 1,
+        clb_cols: 3,
+        dsp_cols: 0,
+        bram_cols: 0,
+    };
+    let system = PrSystem::homogeneous(&device, org, 2, IcapModel::V5_DMA).unwrap();
+    let preemptive = simulate_preemptive(&system, tasks);
+    let workload = Workload::new(
+        tasks
+            .iter()
+            .map(|t| HwTask {
+                id: t.id,
+                module: t.module.clone(),
+                needs: t.needs,
+                arrival_ns: t.arrival_ns,
+                exec_ns: t.exec_ns,
+                deadline_ns: None,
+            })
+            .collect(),
+    );
+    let report = simulate(&system, &workload, &ReuseAware);
+    // Every task fits a PRR, so every task completes, and no task can
+    // finish before its arrival plus its execution: a wrapped clock would
+    // break this in release builds.
+    let finish = tasks
+        .iter()
+        .map(|t| u128::from(t.arrival_ns) + u128::from(t.exec_ns))
+        .max()
+        .unwrap_or(0);
+    assert_eq!(report.completed as usize, tasks.len());
+    assert!(u128::from(report.makespan_ns) >= finish);
+    assert_eq!(preemptive.completed as usize, tasks.len());
+    assert!(u128::from(preemptive.makespan_ns) >= finish);
+}
+
 /// A task with every field from small to its type's maximum.
 fn task() -> impl Strategy<Value = PreemptiveTask> {
     (
@@ -82,6 +148,29 @@ fn count() -> impl Strategy<Value = u64> {
         1 => any::<u64>(),
         1 => Just(u64::MAX),
     ]
+}
+
+/// A task that fits the simulated PRRs, with arrival and execution times
+/// from small to past the horizon bound.
+fn timed_task() -> impl Strategy<Value = PreemptiveTask> {
+    fn time() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            2 => 0u64..100_000,
+            2 => 0u64..MAX_TRACE_HORIZON_NS / 8,
+            1 => Just(MAX_TRACE_HORIZON_NS / 16),
+            1 => any::<u64>(),
+        ]
+    }
+    (any::<u32>(), 0usize..3, (time(), time()), 1u64..40).prop_map(
+        |(id, module, (arrival_ns, exec_ns), clb)| PreemptiveTask {
+            id,
+            module: ["a", "b", "c"][module].to_string(),
+            needs: Resources::new(clb, 0, 0),
+            arrival_ns,
+            exec_ns,
+            priority: (id % 3) as u8,
+        },
+    )
 }
 
 /// A replacement for a field: decimal numbers around the `u8`, `u32` and
@@ -127,15 +216,32 @@ fn out_of_range_fields_are_rejected_not_truncated() {
             "{line}"
         );
     }
-    let max = format!(
-        "{} m {m} {m} {m} {m} {m} {}",
-        u32::MAX,
-        u8::MAX,
-        m = u64::MAX
+    let max = format!("{} m {m} {m} {m} 0 {m} {}", u32::MAX, u8::MAX, m = u64::MAX);
+    assert_eq!(
+        parse_trace(&max),
+        Err(TraceError::HorizonTooLong { line: 1 })
     );
-    let tasks = parse_trace(&max).unwrap();
+    let max_counts = format!("{} m {m} {m} {m} 1 2 {}", u32::MAX, u8::MAX, m = u64::MAX);
+    let tasks = parse_trace(&max_counts).unwrap();
     assert_eq!((tasks[0].id, tasks[0].priority), (u32::MAX, u8::MAX));
-    assert_eq!(tasks[0].exec_ns, u64::MAX);
+    assert_eq!(tasks[0].needs.clb(), u64::MAX);
+}
+
+/// A two-line trace whose second arrival is near `u64::MAX` once made
+/// the simulator's clock overflow (a panic in debug builds, a wrapped
+/// makespan in release). It is a parse error now, and a trace at the
+/// bound simulates.
+#[test]
+fn time_horizon_past_the_bound_is_rejected() {
+    let text = "0 fir 3 0 0 0 1000\n1 fir 3 0 0 18446744073709551000 1000\n";
+    assert_eq!(
+        parse_trace(text),
+        Err(TraceError::HorizonTooLong { line: 2 })
+    );
+    let quarter = MAX_TRACE_HORIZON_NS / 4;
+    let at_bound = format!("0 a 3 0 0 0 {quarter}\n1 b 3 0 0 {quarter} 0\n");
+    let tasks = parse_trace(&at_bound).unwrap();
+    simulate_both(&tasks);
 }
 
 proptest! {
@@ -155,10 +261,29 @@ proptest! {
     }
 
     /// Written traces parse back to the same tasks, whatever the field
-    /// values.
+    /// values, unless their time horizon passes the bound.
     #[test]
     fn written_traces_round_trip(tasks in proptest::collection::vec(task(), 0..8)) {
-        prop_assert_eq!(parse_trace(&write_trace(&tasks)), Ok(tasks));
+        let expected = match horizon_error(&tasks) {
+            Some(e) => Err(e),
+            None => Ok(tasks.clone()),
+        };
+        prop_assert_eq!(parse_trace(&write_trace(&tasks)), expected);
+    }
+
+    /// Every trace that parses simulates without overflow, with times up
+    /// to the horizon bound; the others are rejected at the right line.
+    #[test]
+    fn accepted_traces_simulate_without_overflow(
+        tasks in proptest::collection::vec(timed_task(), 1..8),
+    ) {
+        match parse_trace(&write_trace(&tasks)) {
+            Ok(parsed) => {
+                prop_assert_eq!(&parsed, &tasks);
+                simulate_both(&parsed);
+            }
+            Err(e) => prop_assert_eq!(Some(e), horizon_error(&tasks)),
+        }
     }
 
     /// A real trace with one line dropped or duplicated per edit.
